@@ -85,14 +85,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_semigroup(path: str) -> Semigroup:
-    with open(path) as handle:
-        return semigroup_from_json(json.load(handle))
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.load keeps the last of repeated keys; a repeat is an input error here
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        out[key] = value
+    return out
 
 
 def _load_json(path: str):
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
+def _load_semigroup(path: str) -> Semigroup:
+    return semigroup_from_json(_load_json(path))
 
 
 def _cmd_analyze(args) -> int:

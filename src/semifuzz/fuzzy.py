@@ -10,6 +10,16 @@ Two products are provided: the convolution of full fuzzy sets, and the
 same formula restricted to the divisor set of a base element, where it
 stays well defined because a factorization of a divisor consists of
 divisors.
+
+Both run through one kernel, built on the alpha-cut decomposition:
+(f*g)(t) >= c exactly when t = xy with f(x) >= c and g(y) >= c.  It
+ranks the operands' distinct values by exact integer keys (the values
+over a common denominator) and admits their holders from the highest
+rank down, pairing each new factor with the other side's factors
+admitted so far.  Each pair is visited once, at min(f(x), g(y)), so the
+value at which a target is first reached is its maximum.  The sweep
+stops once every target with a factorization is reached; the rest stay
+0.  Results reuse the operands' value objects, so they are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping
 
 from .semigroups import Element, ElementSet, Semigroup
@@ -24,7 +35,7 @@ from .semigroups import Element, ElementSet, Semigroup
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"\d+(/\d+)?")
 
 
 def parse_value(raw: object) -> Fraction:
@@ -43,7 +54,7 @@ def parse_value(raw: object) -> Fraction:
     elif isinstance(raw, Fraction):
         value = raw
     elif isinstance(raw, str):
-        if not _RATIONAL_RE.match(raw):
+        if not _RATIONAL_RE.fullmatch(raw):
             raise ValueError(f"malformed membership value {raw!r}, expected \"p/q\", \"0\" or \"1\"")
         try:
             value = Fraction(raw)
@@ -138,28 +149,57 @@ def embed_element(semigroup: Semigroup, s: Element | str | int) -> FuzzySet:
     return FuzzySet(semigroup, tuple(ONE if i == idx else ZERO for i in range(semigroup.order)))
 
 
+def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
+    """max over t = xy of min(fv(x), gv(y)) at every t of a product domain.
+
+    The domain is the carrier when ``base`` is None, else the divisor set
+    of ``base``; fv, gv and the result align with it.
+    """
+    domain, targets = sg._sup_min_plan(base)
+    if not targets:
+        return (ZERO,) * len(domain)
+    # each distinct value object, with the domain elements holding it in f and in g
+    holders: dict[int, tuple[Fraction, list[int], list[int]]] = {}
+    for side, values in ((1, fv), (2, gv)):
+        for s, v in zip(domain, values):
+            h = holders.get(id(v))
+            if h is None:
+                h = holders[id(v)] = (v, [], [])
+            h[side].append(s)
+    scale = lcm(*[h[0].denominator for h in holders.values()])
+    ranked = sorted([(v.numerator * (scale // v.denominator), i, v, xs, ys)
+                     for i, (v, xs, ys) in holders.items()], reverse=True)
+    pending = set(targets)
+    found: dict[int, Fraction] = {}
+    rows, cols = sg.table, sg._columns
+    seen_x: list[int] = []
+    seen_y: list[int] = []
+    for key, _, value, new_x, new_y in ranked:
+        if key <= 0 or not pending:
+            break
+        hit: set[int] = set()
+        for x in new_x:
+            hit.update(map(rows[x].__getitem__, seen_y))
+        seen_x += new_x
+        seen_y += new_y
+        for y in new_y:
+            hit.update(map(cols[y].__getitem__, seen_x))
+        hit &= pending
+        for t in hit:
+            found[t] = value
+        pending -= hit
+    return tuple([found.get(s, ZERO) for s in domain])
+
+
 def convolve(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Sup-min convolution: (f*g)(s) = max over s=xy of min(f(x), g(y)).
 
-    Elements with no factorization get 0.  Iterates the precomputed
-    factorization lists of the semigroup.
+    Elements with no factorization get 0.
     """
     sg = f.semigroup
-    if g.semigroup != sg:
+    if g.semigroup is not sg and g.semigroup != sg:
         raise ValueError("cannot convolve fuzzy sets over different semigroups")
-    fv = f.values
-    gv = g.values
-    out = []
-    for facs in sg._factorizations:
-        best = ZERO
-        for x, y in facs:
-            a = fv[x]
-            b = gv[y]
-            m = a if a <= b else b
-            if m > best:
-                best = m
-        out.append(best)
-    return FuzzySet(sg, tuple(out))
+    return FuzzySet(sg, _sup_min(sg, None, f.values, g.values))
 
 
 @dataclass(frozen=True)
@@ -239,23 +279,9 @@ def star_convolve(f: RestrictedFuzzySet, g: RestrictedFuzzySet) -> RestrictedFuz
     so the values are available.  No factorization means 0.
     """
     sg = f.semigroup
-    if g.semigroup != sg or g.base != f.base:
+    if g.base != f.base or (g.semigroup is not sg and g.semigroup != sg):
         raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
-    positions = sg._divisor_positions[f.base]
-    facs_by_target = sg._factorizations
-    fv = f.values
-    gv = g.values
-    out = []
-    for s in sg._divisor_domains[f.base]:
-        best = ZERO
-        for x, y in facs_by_target[s]:
-            a = fv[positions[x]]
-            b = gv[positions[y]]
-            m = a if a <= b else b
-            if m > best:
-                best = m
-        out.append(best)
-    return RestrictedFuzzySet(sg, f.base, tuple(out))
+    return RestrictedFuzzySet(sg, f.base, _sup_min(sg, f.base, f.values, g.values))
 
 
 def fuzzy_set_from_json(semigroup: Semigroup, obj: object) -> FuzzySet:
@@ -269,8 +295,8 @@ def restricted_from_json(semigroup: Semigroup, obj: object) -> RestrictedFuzzySe
     """Parse {"base": name, "values": {...}}; values must cover the divisor set."""
     if not isinstance(obj, dict):
         raise ValueError("restricted fuzzy set JSON must be an object")
-    if "base" not in obj:
-        raise ValueError('restricted fuzzy set JSON is missing the "base" field')
+    if not isinstance(obj.get("base"), str):
+        raise ValueError('restricted fuzzy set JSON needs a "base" element name')
     if "values" not in obj or not isinstance(obj["values"], dict):
         raise ValueError('restricted fuzzy set JSON needs a "values" object')
     return restricted_fuzzy_set(semigroup, obj["base"], obj["values"])

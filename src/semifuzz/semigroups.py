@@ -93,8 +93,7 @@ class Semigroup:
 
     @cached_property
     def _factorizations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # per target index, all ordered (x, y) with x*y == target; reused
-        # heavily by the convolution products
+        # per target index, all ordered (x, y) with x*y == target
         n = self.order
         facs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for x in range(n):
@@ -112,6 +111,33 @@ class Semigroup:
     def square_set(self) -> ElementSet:
         """The set of elements expressible as a product of two elements."""
         return ElementSet(self, frozenset(i for i in range(self.order) if self._factorizations[i]))
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # _columns[y][x] == table[x][y]; the sup-min kernel reads products
+        # of one new right factor with many left factors at a time
+        return tuple(zip(*self.table))
+
+    @cached_property
+    def _sup_min_plans(self) -> dict:
+        return {}
+
+    def _sup_min_plan(self, base: int | None) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The sup-min kernel's domain and its targets, built on first use.
+
+        The domain is the whole carrier when ``base`` is None, else the
+        divisor set of ``base``, in canonical order; the targets are its
+        elements that have a factorization.
+        """
+        plan = self._sup_min_plans.get(base)
+        if plan is None:
+            if base is None:
+                plan = (tuple(range(self.order)), self.square_set().indices)
+            else:
+                domain = self._divisor_domains[base]
+                plan = (domain, self._sup_min_plan(None)[1].intersection(domain))
+            self._sup_min_plans[base] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # ideals
@@ -363,10 +389,12 @@ def build_semigroup(names: Sequence[str], table: Sequence[Sequence[str]]) -> Sem
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
-        try:
-            rows.append(tuple(index[cell] for cell in row))
-        except KeyError as exc:
-            raise ValueError(f"unknown element name {exc.args[0]!r} in table row {i}") from None
+        for cell in row:
+            if not isinstance(cell, str):
+                raise ValueError(f"table row {i} holds {cell!r}, expected an element name")
+            if cell not in index:
+                raise ValueError(f"unknown element name {cell!r} in table row {i}")
+        rows.append(tuple(index[cell] for cell in row))
     witness = _find_nonassociative_triple(rows)
     if witness is not None:
         x, y, z = witness

@@ -58,6 +58,11 @@ class TestAnalyze:
         assert "not associative" in err
         assert "(a*a)*b" in err
 
+    def test_non_string_table_entry(self, write, capsys):
+        path = write("bad.json", {"elements": ["a"], "table": [[["a"]]]})
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 2 and err.startswith("error:") and "['a']" in err
+
     def test_unknown_table_entry_named_in_error(self, write, capsys):
         path = write("bad.json", {"elements": ["a", "b"], "table": [["a", "x"], ["b", "b"]]})
         code, _, err = run(capsys, "analyze", path)
@@ -79,6 +84,20 @@ class TestConvolve:
         code, _, err = run(capsys, "convolve", sg, f, f)
         assert code == 2 and "missing" in err
 
+    def test_duplicate_keys_rejected(self, write, capsys, tmp_path):
+        sg = write("null2.json", NULL2)
+        f = tmp_path / "f.json"
+        f.write_text('{"0": "1", "0": "0", "a": "1"}')
+        code, out, err = run(capsys, "convolve", sg, str(f), str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "duplicate" in err and "'0'" in err
+
+    def test_duplicate_keys_rejected_in_semigroup_file(self, capsys, tmp_path):
+        path = tmp_path / "sg.json"
+        path.write_text('{"elements": ["a"], "table": [["a"]], "table": [["b"]]}')
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2 and "duplicate" in err
+
     def test_float_rejected(self, write, capsys):
         sg = write("null2.json", NULL2)
         f = write("f.json", {"0": 0.5, "a": "1"})
@@ -94,6 +113,12 @@ class TestStar:
         code, out, _ = run(capsys, "star", sg, "-a", "c2", f, g)
         assert code == 0
         assert json.loads(out) == {"base": "c2", "values": {"c": "0", "c2": "1/3"}}
+
+    def test_non_string_base(self, write, capsys):
+        sg = write("mono.json", MONO31)
+        f = write("f.json", {"base": ["c2"], "values": {"c": "1/3", "c2": "4/5"}})
+        code, _, err = run(capsys, "star", sg, "-a", "c2", f, f)
+        assert code == 2 and err.startswith("error:") and "base" in err
 
     def test_base_flag_must_match_files(self, write, capsys):
         sg = write("mono.json", MONO31)

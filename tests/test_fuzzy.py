@@ -37,6 +37,11 @@ class TestValues:
         with pytest.raises(ValueError):
             sf.parse_value(raw)
 
+    @pytest.mark.parametrize("raw", ["1\n", " 1", "1 ", "1/2\n", "\t0"])
+    def test_surrounding_whitespace_rejected(self, raw):
+        with pytest.raises(ValueError, match="malformed"):
+            sf.parse_value(raw)
+
     def test_format_is_canonical(self):
         assert sf.format_value(Fraction(0)) == "0"
         assert sf.format_value(Fraction(1)) == "1"
