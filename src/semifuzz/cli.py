@@ -97,7 +97,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _load_json(path: str):
     with open(path) as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_semigroup(path: str) -> Semigroup:

@@ -31,7 +31,9 @@ def agrees_on_divisors(a: Element | str | int, f: FuzzySet, g: FuzzySet) -> bool
     idx = sg.element(a).index
     fv = f.values
     gv = g.values
-    return all(fv[s] == gv[s] for s in sg._divisor_domains[idx])
+    # value objects are often shared, and the identity test is far
+    # cheaper than Fraction equality
+    return all(fv[s] is gv[s] or fv[s] == gv[s] for s in sg._divisor_domains[idx])
 
 
 def restrict(a: Element | str | int, f: FuzzySet) -> RestrictedFuzzySet:

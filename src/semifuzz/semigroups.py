@@ -5,6 +5,13 @@ carrier of named elements.  Identity adjunction is simulated inside the
 ideal computations rather than by extending the carrier, so a single
 immutable value represents one semigroup throughout a computation.
 
+The table layer costs O(|A| * n^2) for a generating set A, not O(n^3):
+:func:`build_semigroup` decides associativity by Light's test over a
+greedily chosen A, principal ideals are bitmasks built from rows and
+columns, and the fact that every divisor complement is empty or an
+ideal is checked once per semigroup, with a raise that survives -O,
+when the divisor sets are first built.
+
 Element identity is positional: names are presentation only.  All
 operations are pure; nothing here mutates its inputs, so values can be
 shared freely across threads.
@@ -13,7 +20,9 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 
@@ -143,32 +152,55 @@ class Semigroup:
     # ideals
 
     @cached_property
+    def _principal_ideal_masks(self) -> tuple[int, ...]:
+        # bit t of entry s is set iff t lies in {s} | Ss | sS | SsS, the
+        # principal ideal with the adjoined identity simulated: Ss and sS
+        # are the column and row of s, and SsS is the union of the columns
+        # of the elements of sS
+        bits = [1 << i for i in range(self.order)]
+        column_masks = [reduce(or_, map(bits.__getitem__, set(col))) for col in self._columns]
+        masks = []
+        for s, row in enumerate(self.table):
+            right = set(row)
+            masks.append(bits[s] | column_masks[s] | reduce(or_, map(bits.__getitem__, right))
+                         | reduce(or_, map(column_masks.__getitem__, right)))
+        return tuple(masks)
+
+    @cached_property
     def _principal_ideals(self) -> tuple[frozenset[int], ...]:
-        # {s} | Ss | sS | SsS per element; the adjoined identity is
-        # simulated by taking the union of the four orbit pieces
         n = self.order
-        table = self.table
-        out = []
-        for s in range(n):
-            left = {table[x][s] for x in range(n)}
-            right = {table[s][y] for y in range(n)}
-            both = {table[x][sy] for sy in right for x in range(n)}
-            out.append(frozenset({s} | left | right | both))
-        return tuple(out)
+        return tuple(_mask_members(mask, n) for mask in self._principal_ideal_masks)
 
     def principal_ideal(self, s: Element | str | int) -> ElementSet:
         """The least ideal containing s, computed without extending the carrier."""
         return ElementSet(self, self._principal_ideals[self.element(s).index])
 
     @cached_property
-    def _divisor_sets(self) -> tuple[frozenset[int], ...]:
-        pidls = self._principal_ideals
-        n = self.order
-        return tuple(frozenset(s for s in range(n) if a in pidls[s]) for a in range(n))
+    def _divisor_domains(self) -> tuple[tuple[int, ...], ...]:
+        # checked once per semigroup, and by a raise so that -O keeps it:
+        # s lies in J(s), and J(s*x) and J(x*s) lie inside J(s) for every
+        # x.  Then a outside J(s) stays outside J(s*x) and J(x*s), so the
+        # non-divisors of a are empty or an ideal.  Every associative
+        # table passes, so a failure has a non-associative triple.
+        masks = self._principal_ideal_masks
+        table = self.table
+        for s, (mask, column) in enumerate(zip(masks, self._columns)):
+            if not mask >> s & 1 or any(masks[u] | mask != mask for u in {*table[s], *column}):
+                raise _associativity_error(self.names, table)
+        domains: list[list[int]] = [[] for _ in range(self.order)]
+        for s, pidl in enumerate(self._principal_ideals):
+            for a in pidl:
+                domains[a].append(s)
+        return tuple(map(tuple, domains))
 
     @cached_property
-    def _divisor_domains(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(d)) for d in self._divisor_sets)
+    def _divisor_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self._divisor_domains))
+
+    @cached_property
+    def _divisor_complements(self) -> tuple[frozenset[int], ...]:
+        everything = frozenset(range(self.order))
+        return tuple(everything - d for d in self._divisor_sets)
 
     @cached_property
     def _divisor_positions(self) -> tuple[dict[int, int], ...]:
@@ -179,15 +211,13 @@ class Semigroup:
 
         Returns (D, N) where D holds every s whose principal ideal
         contains a, and N is the complement.  a itself always lands in D,
-        and N is empty or an ideal; both facts are asserted.
+        and N is empty or an ideal: both follow from a check made once
+        per semigroup, when the divisor sets are built, which raises
+        AssociativityError on a table that fails it.
         """
         idx = self.element(a).index
-        dset = self._divisor_sets[idx]
-        divisors = ElementSet(self, dset)
-        rest = ElementSet(self, frozenset(range(self.order)) - dset)
-        assert idx in dset
-        assert len(rest) == 0 or rest.is_ideal()
-        return divisors, rest
+        return (ElementSet(self, self._divisor_sets[idx]),
+                ElementSet(self, self._divisor_complements[idx]))
 
     def kernel(self) -> ElementSet:
         """The least ideal: the intersection of all principal ideals."""
@@ -263,7 +293,7 @@ class ElementSet:
     indices: frozenset[int]
 
     def __post_init__(self):
-        if any(not 0 <= i < self.semigroup.order for i in self.indices):
+        if self.indices and not 0 <= min(self.indices) <= max(self.indices) < self.semigroup.order:
             raise ValueError("subset contains indices outside the carrier")
 
     def __len__(self) -> int:
@@ -356,6 +386,15 @@ def identity_relation(semigroup: Semigroup) -> ElementRelation:
     return ElementRelation(semigroup, frozenset((x, x) for x in range(semigroup.order)))
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_members(mask: int, n: int) -> frozenset[int]:
+    # the binary digits of mask, lowest first, mapped to bytes 0 and 1,
+    # select the members from range(n)
+    return frozenset(compress(range(n), f"{mask:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)))
+
+
 def _find_nonassociative_triple(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     n = len(table)
     for x in range(n):
@@ -367,13 +406,83 @@ def _find_nonassociative_triple(table: Sequence[Sequence[int]]) -> tuple[int, in
     return None
 
 
+def _associativity_error(names: Sequence[str], table: Sequence[Sequence[int]]) -> AssociativityError:
+    # names the first violating triple in row-major order; only called on
+    # tables already known not to be associative
+    x, y, z = _find_nonassociative_triple(table)
+    nx, ny, nz = names[x], names[y], names[z]
+    lhs = names[table[table[x][y]][z]]
+    rhs = names[table[x][table[y][z]]]
+    return AssociativityError(
+        f"not associative: ({nx}*{ny})*{nz} = {lhs} but {nx}*({ny}*{nz}) = {rhs}",
+        (nx, ny, nz),
+    )
+
+
+def _generators(semigroup: Semigroup) -> list[int]:
+    """A generating set, picked greedily from the largest principal ideals down.
+
+    A candidate already in the subsemigroup generated so far is skipped.
+    Each newly reached element is multiplied on both sides with every
+    element reached before it, so each ordered pair is multiplied at most
+    once: O(n^2) in all.
+    """
+    n = semigroup.order
+    table, columns = semigroup.table, semigroup._columns
+    masks = semigroup._principal_ideal_masks
+    reached: list[int] = []
+    seen: set[int] = set()
+    done = 0
+    generators = []
+    for g in sorted(range(n), key=lambda s: masks[s].bit_count(), reverse=True):
+        if g in seen:
+            continue
+        generators.append(g)
+        seen.add(g)
+        reached.append(g)
+        while done < len(reached) < n:
+            e = reached[done]
+            done += 1
+            before = reached[:done]
+            new = set(map(table[e].__getitem__, before))
+            new.update(map(columns[e].__getitem__, before))
+            new -= seen
+            seen |= new
+            reached.extend(new)
+        if len(reached) == n:
+            break
+    return generators
+
+
+def _is_associative(semigroup: Semigroup) -> bool:
+    """Light's associativity test over a generating set A.
+
+    The table is associative iff (x*a)*y == x*(a*y) for every a in A and
+    all x, y: the elements a that satisfy this for all x, y are closed
+    under products, so when A satisfies it, so does everything A
+    generates.  One tuple comparison per (a, x) checks a whole row of y.
+    """
+    table = semigroup.table
+    if len(table) == 1:
+        return True  # the one table of order 1; itemgetter needs two indices
+    for a in _generators(semigroup):
+        times_row_a = itemgetter(*table[a])
+        for row_x in table:
+            if table[row_x[a]] != times_row_a(row_x):
+                return False
+    return True
+
+
 def build_semigroup(names: Sequence[str], table: Sequence[Sequence[str]]) -> Semigroup:
     """Validate and build a semigroup from element names and a name matrix.
 
     ``table[i][j]`` must name the product names[i]*names[j].  Raises
     ValueError for structural problems (duplicate or unknown names, shape
     mismatch) and AssociativityError, with the witnessing triple, when
-    the table is not associative.
+    the table is not associative.  Associativity is decided by Light's
+    test over a generating set, in O(|generators| * n^2); the witness of
+    a rejected table comes from the first violating triple in row-major
+    order.
     """
     names = tuple(names)
     if not names:
@@ -389,23 +498,20 @@ def build_semigroup(names: Sequence[str], table: Sequence[Sequence[str]]) -> Sem
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
-        for cell in row:
-            if not isinstance(cell, str):
-                raise ValueError(f"table row {i} holds {cell!r}, expected an element name")
-            if cell not in index:
-                raise ValueError(f"unknown element name {cell!r} in table row {i}")
-        rows.append(tuple(index[cell] for cell in row))
-    witness = _find_nonassociative_triple(rows)
-    if witness is not None:
-        x, y, z = witness
-        nx, ny, nz = names[x], names[y], names[z]
-        lhs = names[rows[rows[x][y]][z]]
-        rhs = names[rows[x][rows[y][z]]]
-        raise AssociativityError(
-            f"not associative: ({nx}*{ny})*{nz} = {lhs} but {nx}*({ny}*{nz}) = {rhs}",
-            (nx, ny, nz),
-        )
-    return Semigroup(names, tuple(rows))
+        try:
+            rows.append(tuple(map(index.__getitem__, row)))
+        except (KeyError, TypeError):
+            # only names are keys, so any other cell lands here
+            for cell in row:
+                if not isinstance(cell, str):
+                    raise ValueError(f"table row {i} holds {cell!r}, expected an element name") from None
+                if cell not in index:
+                    raise ValueError(f"unknown element name {cell!r} in table row {i}") from None
+            raise
+    semigroup = Semigroup(names, tuple(rows))
+    if not _is_associative(semigroup):
+        raise _associativity_error(names, rows)
+    return semigroup
 
 
 def semigroup_to_json(semigroup: Semigroup) -> dict:

@@ -75,8 +75,8 @@ def test_criterion_5_element_embedding(small_semigroups, catalog_roster):
 
 
 def test_criterion_6_restriction_is_rees(small_semigroups, catalog_roster):
-    # the divisor-partition assertion (complement empty or ideal) runs
-    # inside every check; a sweep with zero failures means it never fired
+    # the divisor-set check (every complement empty or an ideal) runs once
+    # per semigroup and raises; a sweep with zero failures means it never fired
     roster = small_semigroups + catalog_roster
     failures, cases = sweep(roster, "restriction-rees", CHAIN01)
     report(6, "restricted congruence equals Rees congruence", not failures,

@@ -51,6 +51,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+    ], ids=["array", "object"])
+    def test_deeply_nested_json(self, capsys, tmp_path, text):
+        # the decoder's recursion limit is an input error, not a crash
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "nested too deeply" in err
+
     def test_non_associative_table_names_witness(self, write, capsys):
         path = write("bad.json", {"elements": ["a", "b"], "table": [["b", "a"], ["a", "a"]]})
         code, _, err = run(capsys, "analyze", path)

@@ -1,11 +1,39 @@
 """Construction, validation, and ideal structure of Cayley-table semigroups."""
 
 import json
+import os
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
 import oracles
 import semifuzz as sf
+from semifuzz.semigroups import _find_nonassociative_triple, _generators
+
+CLOSURE_40 = [(1, 2, 3, 0), (0, 0, 0, 3)]
+CLOSURE_128 = [(1, 2, 3, 0), (0, 0, 2, 3)]
+ABC = ("a", "b", "c")
+
+
+def all_order3_tables():
+    for flat in product(range(3), repeat=9):
+        yield tuple(flat[i:i + 3] for i in range(0, 9, 3))
+
+
+def verdict(names, table):
+    """The witness build_semigroup reports, as indices, or None if it accepts."""
+    try:
+        sf.build_semigroup(names, [[names[v] for v in row] for row in table])
+    except sf.AssociativityError as exc:
+        return tuple(names.index(name) for name in exc.witness)
+    return None
+
+
+@pytest.fixture(scope="module")
+def wide_semigroups():
+    return [sf.catalog("full_transformation", 3), sf.transformation_closure(CLOSURE_128)]
 
 
 def names_of(element_set):
@@ -54,6 +82,34 @@ class TestBuild:
         with pytest.raises(sf.AssociativityError) as excinfo:
             sf.build_semigroup(["a", "b"], [["b", "a"], ["a", "a"]])
         assert excinfo.value.witness == ("a", "a", "b")
+
+    def test_light_test_on_every_order3_table(self):
+        accepted = 0
+        for table in all_order3_tables():
+            expected = oracles.first_nonassociative_triple(table)
+            assert _find_nonassociative_triple(table) == expected
+            assert verdict(ABC, table) == expected, table
+            accepted += expected is None
+        assert accepted == 113
+
+    @pytest.mark.parametrize("semigroup", [
+        sf.catalog("full_transformation", 3), sf.transformation_closure(CLOSURE_40),
+    ], ids=["full_transformation-3", "closure-40"])
+    def test_light_test_on_single_cell_perturbations(self, semigroup):
+        # several generators, so the test runs over more than one row
+        # family; every cell moved to the next element, one at a time
+        assert len(_generators(semigroup)) > 1
+        names, table = semigroup.names, semigroup.table
+        n = semigroup.order
+        assert verdict(names, table) is None
+        rejected = 0
+        for x, y in product(range(n), repeat=2):
+            rows = [list(row) for row in table]
+            rows[x][y] = (rows[x][y] + 1) % n
+            expected = oracles.first_nonassociative_triple(rows)
+            assert verdict(names, rows) == expected, (x, y)
+            rejected += expected is not None
+        assert rejected > 0
 
     def test_element_coercion(self, mono31):
         e = mono31.element("c2")
@@ -129,6 +185,18 @@ class TestPrincipalIdeals:
             for s in range(sg.order):
                 assert sg.principal_ideal(s).indices == oracles.principal_ideal(sg.table, s)
 
+    def test_bitmasks_match_oracle_on_wide_semigroups(self, wide_semigroups):
+        for sg in wide_semigroups:
+            ideals = [oracles.principal_ideal(sg.table, s) for s in range(sg.order)]
+            assert [sg.principal_ideal(s).indices for s in range(sg.order)] == ideals
+            # oracles.divisor_set recomputes every ideal per call; reuse them
+            for a in range(sg.order):
+                expected = frozenset(s for s in range(sg.order) if a in ideals[s])
+                assert sg.divisor_partition(a)[0].indices == expected
+        sg = wide_semigroups[0]
+        assert [sg.divisor_partition(a)[0].indices for a in range(sg.order)] == [
+            oracles.divisor_set(sg.table, a) for a in range(sg.order)]
+
     def test_contains_generator(self, small_semigroups):
         for sg in small_semigroups:
             for s in sg.elements:
@@ -166,6 +234,57 @@ class TestDivisorPartition:
                     for y in sg.elements:
                         if sg.product(x, y) in divisors:
                             assert x in divisors and y in divisors
+
+
+    # a*x = b*x = a, c*a = b, c*b = c, c*c = a.  J(c*a) = J(b) = {a, b, c}
+    # is not inside J(a) = {a, b}: the non-divisors of c are {a}, and
+    # c*a = b leaves them
+    NOT_A_SEMIGROUP = (("a", "b", "c"), ((0, 0, 0), (0, 0, 0), (1, 2, 0)))
+
+    def test_check_raises_on_direct_construction(self):
+        sg = sf.Semigroup(*self.NOT_A_SEMIGROUP)
+        with pytest.raises(sf.AssociativityError) as excinfo:
+            sg.divisor_partition(0)
+        witness = oracles.first_nonassociative_triple(self.NOT_A_SEMIGROUP[1])
+        assert excinfo.value.witness == tuple(ABC[i] for i in witness)
+
+    def test_check_survives_optimize_flag(self):
+        script = (
+            "import semifuzz as sf\n"
+            f"sg = sf.Semigroup(*{self.NOT_A_SEMIGROUP!r})\n"
+            "try:\n"
+            "    sg.divisor_partition(0)\n"
+            "except sf.AssociativityError:\n"
+            "    raise SystemExit(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sf.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+
+    def test_check_fires_where_the_complement_is_not_an_ideal(self):
+        # on every order-3 magma the once-per-semigroup check fires exactly
+        # when some divisor complement, taken with the library's J(s) =
+        # {s} | Ss | sS | S(sS), is neither empty nor an ideal
+        fired = 0
+        for table in all_order3_tables():
+            ideals = [{s} | {table[x][s] for x in range(3)} | set(table[s])
+                      | {table[x][y] for y in table[s] for x in range(3)} for s in range(3)]
+            expected = any(
+                rest and not oracles.is_ideal(table, rest)
+                for rest in (frozenset(s for s in range(3) if a not in ideals[s])
+                             for a in range(3)))
+            sg = sf.Semigroup(ABC, table)
+            try:
+                sg.divisor_partition(0)
+            except sf.AssociativityError:
+                fires = True
+            else:
+                fires = False
+            assert fires == expected, table
+            fired += fires
+        assert fired == 3006
 
 
 class TestIdealsKernelCore:
