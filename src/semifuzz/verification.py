@@ -13,7 +13,20 @@ verifier inconsistency and raises RuntimeError instead of being reported.
 
 Exhaustive checks quantify over fuzzy sets valued in the strategy's
 chain; the chain contains 0 and 1 and is closed under min and max, so
-all equalities are exact within the enumerated universe.  Checks whose
+all equalities are exact within the enumerated universe.  That closure
+also means every product of two members of a universe is again a
+member.  So the star-associativity, delta-congruence and quotient-iso
+sweeps first compute an integer product table: the real kernel runs
+once per ordered pair, and each result is mapped back to its position
+in the universe (a result outside it is a verifier inconsistency and
+raises RuntimeError).  Agreement at a base is tabulated the same way,
+one ``agrees_on_divisors`` call per pair, and is used as a matrix
+rather than as classes, so transitivity is never assumed.  Each case
+then costs integer lookups, yet tests the same statement: two members
+are equal exactly when their positions are.  Cases are counted and
+reported in the order of the case-by-case loops, with the same
+payloads.  A universe of more than EXHAUSTIVE_UNIVERSE_LIMIT sets is
+refused with ValueError before anything is built.  Checks whose
 statement quantifies over carrier elements only (the embedding, the
 divisor/Rees restriction, the kernel and core criteria) ignore the
 sample budget and always sweep all elements, which is both cheaper and
@@ -26,6 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .decomposition import agrees_on_divisors, extend_by_zero, restrict, subdirect_embed
 from .enumeration import (
@@ -58,6 +72,10 @@ THEOREMS = (
 
 # bitmask ideal enumeration is 2**n; past this the cross-validations are skipped
 CROSS_VALIDATION_LIMIT = 12
+
+# an exhaustive sweep holds its universe and an M x M product table of it;
+# 4096 sets make a 16.7M-entry table
+EXHAUSTIVE_UNIVERSE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -175,23 +193,70 @@ def _redraw_outside_divisors(rng: random.Random, sg: Semigroup, base: int,
 
 
 # ----------------------------------------------------------------------
+# exhaustive universes and their integer product tables
+
+def _require_small_universe(chain: Chain, width: int) -> None:
+    size = len(chain) ** width
+    if size > EXHAUSTIVE_UNIVERSE_LIMIT:
+        raise ValueError(
+            f"an exhaustive sweep here enumerates {len(chain)}**{width} = {size} fuzzy sets, "
+            f"more than the limit of {EXHAUSTIVE_UNIVERSE_LIMIT}; use a sampled strategy "
+            f"or a shorter chain"
+        )
+
+
+def _positions(universe) -> dict[tuple[Fraction, ...], int]:
+    return {u.values: i for i, u in enumerate(universe)}
+
+
+def _locate(positions: dict[tuple[Fraction, ...], int], fuzzy) -> int:
+    i = positions.get(fuzzy.values)
+    if i is None:
+        raise RuntimeError(f"verifier inconsistency: {fuzzy} lies outside the enumerated universe")
+    return i
+
+
+def _product_table(universe, op) -> list[list[int]]:
+    """``table[i][j]`` is the position in ``universe`` of ``op(universe[i], universe[j])``.
+
+    The universe is closed under the product (a chain holding 0 is
+    closed under min and max), so every result must be found; one that
+    is not is a verifier inconsistency and raises RuntimeError.
+    """
+    positions = _positions(universe)
+    return [[_locate(positions, op(u, v)) for v in universe] for u in universe]
+
+
+def _agreement_matrix(a, universe) -> list[list[bool]]:
+    return [[agrees_on_divisors(a, f, g) for g in universe] for f in universe]
+
+
+def _first_mismatch(lhs: list, rhs: list) -> int | None:
+    if lhs == rhs:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+
+
+# ----------------------------------------------------------------------
 # the checks; each returns (cases_checked, counterexample payload or None)
 
 def _check_star_assoc(sg, chain, rng, count):
     checked = 0
     if rng is None:
+        _require_small_universe(chain, max(map(len, sg._divisor_domains)))
         for a in sg.elements:
             sets = list(enumerate_restricted_sets(sg, a, chain))
-            pair_products = [[star_convolve(f, g) for g in sets] for f in sets]
-            for i, f in enumerate(sets):
-                for j, g in enumerate(sets):
-                    fg = pair_products[i][j]
-                    for k, h in enumerate(sets):
-                        checked += 1
-                        lhs = star_convolve(fg, h)
-                        rhs = star_convolve(f, pair_products[j][k])
-                        if lhs != rhs:
-                            return checked, _star_assoc_payload(f, g, h, lhs, rhs)
+            table = _product_table(sets, star_convolve)
+            for i, row_i in enumerate(table):
+                for j, ij in enumerate(row_i):
+                    # (fg)h against f(gh) for every h at once
+                    lhs = table[ij]
+                    rhs = list(map(row_i.__getitem__, table[j]))
+                    k = _first_mismatch(lhs, rhs)
+                    if k is not None:
+                        return checked + k + 1, _star_assoc_payload(
+                            sets[i], sets[j], sets[k], sets[lhs[k]], sets[rhs[k]])
+                    checked += len(sets)
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
@@ -220,22 +285,27 @@ def _star_assoc_payload(f, g, h, lhs, rhs):
 def _check_delta_congruence(sg, chain, rng, count):
     checked = 0
     if rng is None:
+        _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
+        size = len(fuzz)
+        table = _product_table(fuzz, convolve)
+        scaled = [[size * p for p in row] for row in table]
         for a in sg.elements:
-            related = [(f, g) for f in fuzz for g in fuzz if agrees_on_divisors(a, f, g)]
-            products: dict[tuple[int, int], FuzzySet] = {}
-
-            def prod(x, y):
-                key = (id(x), id(y))
-                if key not in products:
-                    products[key] = convolve(x, y)
-                return products[key]
-
+            agree = _agreement_matrix(a, fuzz)
+            agree_flat = [ok for row in agree for ok in row]
+            related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
+            lefts = [i for i, _ in related]
+            rights = [j for _, j in related]
             for f1, g1 in related:
-                for f2, g2 in related:
-                    checked += 1
-                    if not agrees_on_divisors(a, prod(f1, f2), prod(g1, g2)):
-                        return checked, _delta_payload(a, f1, g1, f2, g2)
+                # (f1 f2, g1 g2) for every related (f2, g2), as flat matrix positions
+                cells = map(add, map(scaled[f1].__getitem__, lefts),
+                            map(table[g1].__getitem__, rights))
+                holds = list(map(agree_flat.__getitem__, cells))
+                if not all(holds):
+                    c = holds.index(False)
+                    f2, g2 = related[c]
+                    return checked + c + 1, _delta_payload(a, fuzz[f1], fuzz[g1], fuzz[f2], fuzz[g2])
+                checked += len(related)
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
@@ -263,35 +333,44 @@ def _delta_payload(a, f1, g1, f2, g2):
 def _check_quotient_iso(sg, chain, rng, count):
     checked = 0
     if rng is None:
+        _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
+        size = len(fuzz)
+        table = _product_table(fuzz, convolve)
         for a in sg.elements:
-            restrictions = [restrict(a, f) for f in fuzz]
-            for f, rf in zip(fuzz, restrictions):
-                for g, rg in zip(fuzz, restrictions):
-                    checked += 1
-                    if agrees_on_divisors(a, f, g) != (rf == rg):
-                        return checked, {
-                            "property": "class-separation",
-                            "base": a.name,
-                            "f": f.as_dict(),
-                            "g": g.as_dict(),
-                        }
-            reached = set(restrictions)
-            for target in enumerate_restricted_sets(sg, a, chain):
+            agree = _agreement_matrix(a, fuzz)
+            targets = list(enumerate_restricted_sets(sg, a, chain))
+            positions = _positions(targets)
+            restricted = [_locate(positions, restrict(a, f)) for f in fuzz]
+            for i, ri in enumerate(restricted):
+                k = _first_mismatch(agree[i], list(map(ri.__eq__, restricted)))
+                if k is not None:
+                    return checked + k + 1, {
+                        "property": "class-separation",
+                        "base": a.name,
+                        "f": fuzz[i].as_dict(),
+                        "g": fuzz[k].as_dict(),
+                    }
+                checked += size
+            reached = set(restricted)
+            for t, target in enumerate(targets):
                 checked += 1
-                if target not in reached:
+                if t not in reached:
                     return checked, {
                         "property": "surjectivity",
                         "base": a.name,
                         "target": target.as_dict(),
                     }
-            for f, rf in zip(fuzz, restrictions):
-                for g, rg in zip(fuzz, restrictions):
-                    checked += 1
-                    lhs = restrict(a, convolve(f, g))
-                    rhs = star_convolve(rf, rg)
-                    if lhs != rhs:
-                        return checked, _hom_payload(a, f, g, lhs, rhs)
+            star = _product_table(targets, star_convolve)
+            for i, ri in enumerate(restricted):
+                # restrict(fg) against restrict(f) * restrict(g) for every g at once
+                lhs = list(map(restricted.__getitem__, table[i]))
+                rhs = list(map(star[ri].__getitem__, restricted))
+                k = _first_mismatch(lhs, rhs)
+                if k is not None:
+                    return checked + k + 1, _hom_payload(
+                        a, fuzz[i], fuzz[k], targets[lhs[k]], targets[rhs[k]])
+                checked += size
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
@@ -336,6 +415,7 @@ def _hom_payload(a, f, g, lhs, rhs):
 def _check_subdirect(sg, chain, rng, count):
     checked = 0
     if rng is None:
+        _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
         embeddings = [subdirect_embed(f) for f in fuzz]
         for i in range(len(fuzz)):

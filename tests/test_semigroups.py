@@ -366,6 +366,17 @@ class TestReesCongruence:
                 assert rel.is_equivalence()
                 assert rel.is_congruence()
 
+    def test_is_congruence_on_the_40_element_closure(self):
+        # rees_congruence no longer checks itself per call, so check it here
+        # on a carrier with many distinct divisor complements
+        sg = sf.transformation_closure(CLOSURE_40)
+        for a in range(sg.order):
+            rest = frozenset(range(sg.order)) - oracles.divisor_set(sg.table, a)
+            rel = sg.rees_congruence(sg.subset(sorted(rest)))
+            assert rel.pairs == ({(x, x) for x in range(sg.order)}
+                                 | {(x, y) for x in rest for y in rest})
+            assert rel.is_congruence()
+
     def test_membership_lookup(self, mono31):
         _, rest = mono31.divisor_partition("c")
         rel = mono31.rees_congruence(rest)

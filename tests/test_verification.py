@@ -1,9 +1,15 @@
 """The verification engine: strategies, reports, case counts, rechecks."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import oracles
 import semifuzz as sf
 from semifuzz import verification
 
@@ -46,6 +52,25 @@ class TestStrategyAndDispatch:
             assert report.passed, report.counterexample
 
 
+def closed_form_cases(theorem, sg, k):
+    """The exhaustive case count over the chain {0, 1/k, ..., 1}, from the
+    oracle divisor sets: M = (k+1)**n sets, d = |D(a)| at each base a."""
+    n = sg.order
+    big_m = (k + 1) ** n
+    widths = [len(oracles.divisor_set(sg.table, a)) for a in range(n)]
+    if theorem == "star-assoc":
+        return sum(((k + 1) ** d) ** 3 for d in widths)
+    if theorem == "delta-congruence":
+        return sum((big_m * (k + 1) ** (n - d)) ** 2 for d in widths)
+    if theorem == "quotient-iso":
+        return sum(2 * big_m ** 2 + (k + 1) ** d for d in widths)
+    assert theorem == "subdirect"
+    return big_m * (big_m - 1) // 2 + sum((k + 1) ** d for d in widths)
+
+
+FUZZY_THEOREMS = ("star-assoc", "delta-congruence", "quotient-iso", "subdirect")
+
+
 class TestCaseCounts:
     def test_star_assoc_exhaustive_count(self, null2, chain2):
         # sum over base elements of (chain size ** divisor count) cubed:
@@ -71,6 +96,231 @@ class TestCaseCounts:
     def test_kernel_criterion_includes_cross_validation(self, mono31, chain2):
         report = sf.verify_theorem(mono31, "kernel-criterion", sf.Exhaustive(chain2))
         assert report.cases_checked == mono31.order + 1
+
+    @pytest.mark.parametrize("theorem", FUZZY_THEOREMS)
+    def test_every_semigroup_of_order_at_most_3_at_chain_1(self, theorem, small_semigroups):
+        assert len(small_semigroups) == 122
+        strategy = sf.Exhaustive(sf.make_chain(1))
+        for sg in small_semigroups:
+            report = sf.verify_theorem(sg, theorem, strategy)
+            assert report.passed, report.counterexample
+            assert report.cases_checked == closed_form_cases(theorem, sg, 1), sg.table
+
+    @pytest.mark.parametrize("theorem", FUZZY_THEOREMS)
+    def test_every_semigroup_of_order_at_most_2_at_chain_2(self, theorem, chain2):
+        for sg in [s for n in (1, 2) for s in sf.enumerate_semigroups(n)]:
+            report = sf.verify_theorem(sg, theorem, sf.Exhaustive(chain2))
+            assert report.passed, report.counterexample
+            assert report.cases_checked == closed_form_cases(theorem, sg, 2), sg.table
+
+
+# ----------------------------------------------------------------------
+# planted faults: a kernel (or the agreement test) that is wrong on one
+# chosen input pair must be caught at the same case, with the same
+# payload, as by the case-by-case loops written out below
+
+def wrong_on(real, bad_f, bad_g):
+    """``real``, except that the product of bad_f and bad_g has its first
+    value moved between 0 and 1, which keeps it chain-valued."""
+    def kernel(f, g):
+        out = real(f, g)
+        if f == bad_f and g == bad_g:
+            first = Fraction(0) if out.values[0] == 1 else Fraction(1)
+            out = dataclasses.replace(out, values=(first,) + out.values[1:])
+        return out
+    return kernel
+
+
+def naive_divisors(sg, a):
+    return sorted(oracles.divisor_set(sg.table, a.index))
+
+
+def naive_agree(a, f, g):
+    return all(f.values[s] == g.values[s] for s in naive_divisors(f.semigroup, a))
+
+
+def loop_star_assoc(sg, chain, star):
+    checked = 0
+    for a in sg.elements:
+        sets = list(sf.enumerate_restricted_sets(sg, a, chain))
+        for f in sets:
+            for g in sets:
+                for h in sets:
+                    checked += 1
+                    lhs, rhs = star(star(f, g), h), star(f, star(g, h))
+                    if lhs != rhs:
+                        return checked, {
+                            "base": a.name, "f": f.as_dict(), "g": g.as_dict(), "h": h.as_dict(),
+                            "lhs": lhs.as_dict(), "rhs": rhs.as_dict(),
+                        }
+    return checked, None
+
+
+def loop_delta_congruence(sg, chain, conv):
+    fuzz = list(sf.enumerate_fuzzy_sets(sg, chain))
+    checked = 0
+    for a in sg.elements:
+        related = [(f, g) for f in fuzz for g in fuzz if naive_agree(a, f, g)]
+        for f1, g1 in related:
+            for f2, g2 in related:
+                checked += 1
+                if not naive_agree(a, conv(f1, f2), conv(g1, g2)):
+                    return checked, {
+                        "base": a.name, "f1": f1.as_dict(), "g1": g1.as_dict(),
+                        "f2": f2.as_dict(), "g2": g2.as_dict(),
+                    }
+    return checked, None
+
+
+def loop_quotient_iso(sg, chain, conv, star, agree):
+    fuzz = list(sf.enumerate_fuzzy_sets(sg, chain))
+    checked = 0
+    for a in sg.elements:
+        domain = naive_divisors(sg, a)
+        restrictions = [sf.RestrictedFuzzySet(sg, a.index, tuple(f.values[s] for s in domain))
+                        for f in fuzz]
+        for f, rf in zip(fuzz, restrictions):
+            for g, rg in zip(fuzz, restrictions):
+                checked += 1
+                if agree(a, f, g) != (rf.values == rg.values):
+                    return checked, {"property": "class-separation", "base": a.name,
+                                     "f": f.as_dict(), "g": g.as_dict()}
+        checked += len(chain) ** len(domain)  # surjectivity holds by construction
+        for f, rf in zip(fuzz, restrictions):
+            for g, rg in zip(fuzz, restrictions):
+                checked += 1
+                fg = conv(f, g)
+                lhs = sf.RestrictedFuzzySet(sg, a.index, tuple(fg.values[s] for s in domain))
+                rhs = star(rf, rg)
+                if lhs.values != rhs.values:
+                    return checked, {"property": "homomorphism", "base": a.name,
+                                     "f": f.as_dict(), "g": g.as_dict(),
+                                     "lhs": lhs.as_dict(), "rhs": rhs.as_dict()}
+    return checked, None
+
+
+@pytest.fixture
+def confirm_everything(monkeypatch):
+    # a planted fault is no genuine counterexample, so the independent
+    # recheck would refuse it; confirm it as test_failing_report_carries_counterexample does
+    monkeypatch.setattr(verification, "recheck_counterexample", lambda sg, theorem, payload: True)
+
+
+class TestPlantedFaults:
+    CHAIN = sf.make_chain(1)
+
+    def assert_caught(self, sg, theorem, expected):
+        checked, payload = expected
+        assert payload is not None, "the planted fault is invisible to the loop"
+        report = sf.verify_theorem(sg, theorem, sf.Exhaustive(self.CHAIN))
+        assert report.verdict == "fail"
+        assert report.cases_checked == checked
+        assert report.counterexample == payload
+
+    @pytest.mark.parametrize("pair", [(0, 0), (5, 2), (7, 7)])
+    def test_star_assoc(self, mono31, pair, monkeypatch, confirm_everything):
+        # the pair is taken at the base whose divisor set is the whole carrier
+        sets = list(sf.enumerate_restricted_sets(mono31, "c3", self.CHAIN))
+        kernel = wrong_on(sf.star_convolve, sets[pair[0]], sets[pair[1]])
+        monkeypatch.setattr(verification, "star_convolve", kernel)
+        self.assert_caught(mono31, "star-assoc", loop_star_assoc(mono31, self.CHAIN, kernel))
+
+    @pytest.mark.parametrize("pair", [(0, 0), (3, 6), (7, 1)])
+    def test_delta_congruence(self, mono31, pair, monkeypatch, confirm_everything):
+        fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
+        kernel = wrong_on(sf.convolve, fuzz[pair[0]], fuzz[pair[1]])
+        monkeypatch.setattr(verification, "convolve", kernel)
+        self.assert_caught(mono31, "delta-congruence",
+                           loop_delta_congruence(mono31, self.CHAIN, kernel))
+
+    @pytest.mark.parametrize("faulty", ["convolve", "star_convolve"])
+    def test_quotient_iso_homomorphism(self, mono31, faulty, monkeypatch, confirm_everything):
+        fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
+        conv, star = sf.convolve, sf.star_convolve
+        if faulty == "convolve":
+            conv = wrong_on(conv, fuzz[6], fuzz[3])
+        else:
+            f, g = (sf.restrict("c2", fuzz[i]) for i in (6, 3))
+            star = wrong_on(star, f, g)
+        monkeypatch.setattr(verification, "convolve", conv)
+        monkeypatch.setattr(verification, "star_convolve", star)
+        expected = loop_quotient_iso(mono31, self.CHAIN, conv, star, sf.agrees_on_divisors)
+        assert expected[1]["property"] == "homomorphism"
+        self.assert_caught(mono31, "quotient-iso", expected)
+
+    def test_quotient_iso_class_separation(self, mono31, monkeypatch, confirm_everything):
+        fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
+        bad = (mono31.element("c2"), fuzz[5], fuzz[2])
+
+        def agree(a, f, g):
+            return (sf.agrees_on_divisors(a, f, g)
+                    != ((mono31.element(a), f, g) == bad))
+
+        monkeypatch.setattr(verification, "agrees_on_divisors", agree)
+        expected = loop_quotient_iso(mono31, self.CHAIN, sf.convolve, sf.star_convolve, agree)
+        assert expected[1]["property"] == "class-separation"
+        self.assert_caught(mono31, "quotient-iso", expected)
+
+    @pytest.mark.parametrize("theorem, kernel", [
+        ("star-assoc", "star_convolve"), ("delta-congruence", "convolve"),
+        ("quotient-iso", "convolve"), ("quotient-iso", "star_convolve"),
+    ])
+    def test_product_outside_the_universe_is_an_inconsistency(self, mono31, theorem, kernel,
+                                                               monkeypatch):
+        real = getattr(sf, kernel)
+
+        def off_chain(f, g):
+            out = real(f, g)
+            return dataclasses.replace(out, values=(Fraction(1, 3),) + out.values[1:])
+
+        monkeypatch.setattr(verification, kernel, off_chain)
+        with pytest.raises(RuntimeError, match="outside the enumerated universe"):
+            sf.verify_theorem(mono31, theorem, sf.Exhaustive(self.CHAIN))
+
+
+class TestUniverseLimit:
+    def test_boundary(self):
+        verification._require_small_universe(sf.make_chain(3), 6)  # 4**6 = 4096
+        with pytest.raises(ValueError, match=r"2\*\*13 = 8192 fuzzy sets"):
+            verification._require_small_universe(sf.make_chain(1), 13)
+
+    def test_oversized_universes_are_refused_up_front(self, tmp_path):
+        # run where the address space is capped, so that materializing a
+        # 51**27-set universe fails the test instead of exhausting the machine
+        path = tmp_path / "ft3.json"
+        path.write_text(json.dumps(sf.semigroup_to_json(sf.catalog("full_transformation", 3))))
+        script = (
+            "import resource, sys\n"
+            "cap = 1 << 30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "import semifuzz as sf\n"
+            "from semifuzz import cli\n"
+            "sg = sf.catalog('full_transformation', 3)\n"
+            f"for theorem in {FUZZY_THEOREMS!r}:\n"
+            "    try:\n"
+            "        sf.verify_theorem(sg, theorem, sf.Exhaustive(sf.make_chain(50)))\n"
+            "    except ValueError as exc:\n"
+            "        print(theorem, 'refused:', exc)\n"
+            f"sys.exit(cli.main(['verify', {str(path)!r}, '--chain', '50',"
+            " '--theorem', 'delta-congruence']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(sf.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[0] for line in lines] == list(FUZZY_THEOREMS)
+        assert all("51**27 = " + str(51 ** 27) in line for line in lines)
+        assert proc.stderr.startswith("error: ") and "51**27" in proc.stderr
+
+    def test_element_checks_and_sampling_are_unaffected(self):
+        sg = sf.catalog("full_transformation", 3)
+        chain = sf.make_chain(50)
+        assert sf.verify_theorem(sg, "phi-embedding", sf.Exhaustive(chain)).passed
+        for theorem in FUZZY_THEOREMS:
+            report = sf.verify_theorem(sg, theorem, sf.Sampled(chain, 2, seed=1))
+            assert report.passed, report.counterexample
 
 
 class TestReports:
