@@ -26,14 +26,12 @@ def agrees_on_divisors(a: Element | str | int, f: FuzzySet, g: FuzzySet) -> bool
     carrier is the special case where a lies in the kernel.
     """
     sg = f.semigroup
-    if g.semigroup != sg:
+    if g.semigroup is not sg and g.semigroup != sg:
         raise ValueError("fuzzy sets live over different semigroups")
-    idx = sg.element(a).index
-    fv = f.values
-    gv = g.values
-    # value objects are often shared, and the identity test is far
-    # cheaper than Fraction equality
-    return all(fv[s] is gv[s] or fv[s] == gv[s] for s in sg._divisor_domains[idx])
+    gather = sg._divisor_gathers[sg.element(a).index]
+    # tuple comparison tests identity before Fraction equality, and value
+    # objects are often shared
+    return gather(f.values) == gather(g.values)
 
 
 def restrict(a: Element | str | int, f: FuzzySet) -> RestrictedFuzzySet:
@@ -45,8 +43,7 @@ def restrict(a: Element | str | int, f: FuzzySet) -> RestrictedFuzzySet:
     """
     sg = f.semigroup
     idx = sg.element(a).index
-    fv = f.values
-    return RestrictedFuzzySet(sg, idx, tuple(fv[s] for s in sg._divisor_domains[idx]))
+    return RestrictedFuzzySet(sg, idx, sg._divisor_gathers[idx](f.values))
 
 
 def extend_by_zero(f: RestrictedFuzzySet) -> FuzzySet:

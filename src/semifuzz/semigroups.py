@@ -8,9 +8,10 @@ immutable value represents one semigroup throughout a computation.
 The table layer costs O(|A| * n^2) for a generating set A, not O(n^3):
 :func:`build_semigroup` decides associativity by Light's test over a
 greedily chosen A, principal ideals are bitmasks built from rows and
-columns, and the fact that every divisor complement is empty or an
-ideal is checked once per semigroup, with a raise that survives -O,
-when the divisor sets are first built.
+columns, and the fact that every principal ideal is an ideal and every
+divisor complement is empty or an ideal is checked once per semigroup,
+with a raise that survives -O, when the principal ideals are first
+built.
 
 Element identity is positional: names are presentation only.  All
 operations are pure; nothing here mutates its inputs, so values can be
@@ -168,8 +169,20 @@ class Semigroup:
 
     @cached_property
     def _principal_ideals(self) -> tuple[frozenset[int], ...]:
+        # checked once per semigroup, and by a raise so that -O keeps it:
+        # s lies in J(s), and J(s*x) and J(x*s) lie inside J(s) for every
+        # x.  Then every J(s) is an ideal (t in J(s) gives t*x in J(t*x),
+        # inside J(t), inside J(s)), and a outside J(s) stays outside
+        # J(s*x) and J(x*s), so the non-divisors of a are empty or an
+        # ideal.  Every associative table passes, so a failure has a
+        # non-associative triple.
+        masks = self._principal_ideal_masks
+        table = self.table
+        for s, (mask, column) in enumerate(zip(masks, self._columns)):
+            if not mask >> s & 1 or any(masks[u] | mask != mask for u in {*table[s], *column}):
+                raise _associativity_error(self.names, table)
         n = self.order
-        return tuple(_mask_members(mask, n) for mask in self._principal_ideal_masks)
+        return tuple(_mask_members(mask, n) for mask in masks)
 
     def principal_ideal(self, s: Element | str | int) -> ElementSet:
         """The least ideal containing s, computed without extending the carrier."""
@@ -177,16 +190,6 @@ class Semigroup:
 
     @cached_property
     def _divisor_domains(self) -> tuple[tuple[int, ...], ...]:
-        # checked once per semigroup, and by a raise so that -O keeps it:
-        # s lies in J(s), and J(s*x) and J(x*s) lie inside J(s) for every
-        # x.  Then a outside J(s) stays outside J(s*x) and J(x*s), so the
-        # non-divisors of a are empty or an ideal.  Every associative
-        # table passes, so a failure has a non-associative triple.
-        masks = self._principal_ideal_masks
-        table = self.table
-        for s, (mask, column) in enumerate(zip(masks, self._columns)):
-            if not mask >> s & 1 or any(masks[u] | mask != mask for u in {*table[s], *column}):
-                raise _associativity_error(self.names, table)
         domains: list[list[int]] = [[] for _ in range(self.order)]
         for s, pidl in enumerate(self._principal_ideals):
             for a in pidl:
@@ -203,6 +206,13 @@ class Semigroup:
         return tuple(everything - d for d in self._divisor_sets)
 
     @cached_property
+    def _divisor_gathers(self) -> tuple:
+        # per base, one C-level gather of the divisor-set values from a
+        # carrier-aligned tuple; a slice keeps a one-element result a tuple
+        return tuple(itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
+                     for dom in self._divisor_domains)
+
+    @cached_property
     def _divisor_positions(self) -> tuple[dict[int, int], ...]:
         return tuple({s: k for k, s in enumerate(dom)} for dom in self._divisor_domains)
 
@@ -212,7 +222,7 @@ class Semigroup:
         Returns (D, N) where D holds every s whose principal ideal
         contains a, and N is the complement.  a itself always lands in D,
         and N is empty or an ideal: both follow from a check made once
-        per semigroup, when the divisor sets are built, which raises
+        per semigroup, when the principal ideals are built, which raises
         AssociativityError on a table that fails it.
         """
         idx = self.element(a).index
@@ -220,14 +230,21 @@ class Semigroup:
                 ElementSet(self, self._divisor_complements[idx]))
 
     def kernel(self) -> ElementSet:
-        """The least ideal: the intersection of all principal ideals."""
+        """The least ideal: the intersection of all principal ideals.
+
+        Every ideal contains the principal ideal of each of its members,
+        so it contains the intersection.  The intersection is an ideal by
+        construction: it is non-empty (the product of all elements lies
+        in every principal ideal), and an intersection of ideals that is
+        non-empty is an ideal.  That the principal ideals are ideals is
+        checked once per semigroup, with a raise, when they are first
+        built; the kernel-criterion check cross-validates the result
+        against ideal enumeration.
+        """
         acc = frozenset(range(self.order))
         for pidl in self._principal_ideals:
             acc &= pidl
-        result = ElementSet(self, acc)
-        assert result.is_ideal()
-        assert all(acc <= pidl for pidl in self._principal_ideals)
-        return result
+        return ElementSet(self, acc)
 
     def zero_element(self) -> Element | None:
         """The element z with z*x == x*z == z for all x, if one exists."""
@@ -246,7 +263,12 @@ class Semigroup:
         a non-zero element, hence contains that intersection, so the
         intersection is the core exactly when it is itself non-trivial.
         A one-element ideal forces its element to be a zero, so
-        "non-trivial" reduces to "more than one element".
+        "non-trivial" reduces to "more than one element".  The
+        intersection is an ideal by construction, being a non-empty
+        intersection of principal ideals, which are checked once per
+        semigroup, with a raise, when they are first built; the
+        core-criterion check cross-validates the result against ideal
+        enumeration.
         """
         zero = self.zero_element()
         zero_idx = -1 if zero is None else zero.index
@@ -259,9 +281,7 @@ class Semigroup:
             acc &= self._principal_ideals[s]
         if not seen or len(acc) < 2:
             return None
-        result = ElementSet(self, acc)
-        assert result.is_ideal()
-        return result
+        return ElementSet(self, acc)
 
     def subset(self, refs: Sequence[Element | str | int]) -> ElementSet:
         """An ElementSet over this carrier from names, indices, or Elements."""

@@ -18,10 +18,15 @@ also means every product of two members of a universe is again a
 member.  So the star-associativity, delta-congruence and quotient-iso
 sweeps first compute an integer product table: the real kernel runs
 once per ordered pair, and each result is mapped back to its position
-in the universe (a result outside it is a verifier inconsistency and
-raises RuntimeError).  Agreement at a base is tabulated the same way,
-one ``agrees_on_divisors`` call per pair, and is used as a matrix
-rather than as classes, so transitivity is never assumed.  Each case
+in the universe.  That lookup goes by the identities of the result's
+value objects, which the kernel takes from its operands (or is its own
+0, every chain's 0); the universe stays alive for the whole sweep, so
+no id is reused.  A result with equal values held by other objects
+falls back to an exact lookup by value, and a result outside the
+universe is a verifier inconsistency and raises RuntimeError.
+Agreement at a base is tabulated the same way, one
+``agrees_on_divisors`` call per pair, and is used as a matrix rather
+than as classes, so transitivity is never assumed.  Each case
 then costs integer lookups, yet tests the same statement: two members
 are equal exactly when their positions are.  Cases are counted and
 reported in the order of the case-by-case loops, with the same
@@ -38,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import add
 
 from .decomposition import agrees_on_divisors, extend_by_zero, restrict, subdirect_embed
@@ -205,15 +210,35 @@ def _require_small_universe(chain: Chain, width: int) -> None:
         )
 
 
-def _positions(universe) -> dict[tuple[Fraction, ...], int]:
-    return {u.values: i for i, u in enumerate(universe)}
+class _Positions:
+    """Positions of the members of an enumerated universe.
 
+    A member is found by the identities of its value objects: the
+    universe stays alive as long as this index, so none of those ids
+    can be reused, and a tuple of ids matches only a member that holds
+    those very objects.  Kernel results reuse their operands' value
+    objects (or the kernel's 0, which is every chain's 0), so they hit
+    that lookup.  Equal values held by other objects miss it and fall
+    back to an exact lookup keyed by the values themselves; a fuzzy set
+    that misses both lies outside the universe, which is a verifier
+    inconsistency and raises RuntimeError.
+    """
 
-def _locate(positions: dict[tuple[Fraction, ...], int], fuzzy) -> int:
-    i = positions.get(fuzzy.values)
-    if i is None:
-        raise RuntimeError(f"verifier inconsistency: {fuzzy} lies outside the enumerated universe")
-    return i
+    def __init__(self, universe):
+        self.universe = universe
+        self.by_ids = {tuple(map(id, u.values)): i for i, u in enumerate(universe)}
+        self.by_values = None
+
+    def locate(self, fuzzy) -> int:
+        i = self.by_ids.get(tuple(map(id, fuzzy.values)))
+        if i is None:
+            if self.by_values is None:
+                self.by_values = {u.values: k for k, u in enumerate(self.universe)}
+            i = self.by_values.get(fuzzy.values)
+            if i is None:
+                raise RuntimeError(
+                    f"verifier inconsistency: {fuzzy} lies outside the enumerated universe")
+        return i
 
 
 def _product_table(universe, op) -> list[list[int]]:
@@ -223,8 +248,8 @@ def _product_table(universe, op) -> list[list[int]]:
     closed under min and max), so every result must be found; one that
     is not is a verifier inconsistency and raises RuntimeError.
     """
-    positions = _positions(universe)
-    return [[_locate(positions, op(u, v)) for v in universe] for u in universe]
+    locate = _Positions(universe).locate
+    return [[locate(op(u, v)) for v in universe] for u in universe]
 
 
 def _agreement_matrix(a, universe) -> list[list[bool]]:
@@ -340,8 +365,8 @@ def _check_quotient_iso(sg, chain, rng, count):
         for a in sg.elements:
             agree = _agreement_matrix(a, fuzz)
             targets = list(enumerate_restricted_sets(sg, a, chain))
-            positions = _positions(targets)
-            restricted = [_locate(positions, restrict(a, f)) for f in fuzz]
+            locate = _Positions(targets).locate
+            restricted = [locate(restrict(a, f)) for f in fuzz]
             for i, ri in enumerate(restricted):
                 k = _first_mismatch(agree[i], list(map(ri.__eq__, restricted)))
                 if k is not None:
@@ -489,22 +514,24 @@ def _check_restriction_rees(sg, chain, rng, count):
     del rng, count
     checked = 0
     embeddings = [embed_element(sg, e) for e in sg.elements]
+    carrier = range(sg.order)
     for a in sg.elements:
         divisors, rest = sg.divisor_partition(a)
         rees = sg.rees_congruence(rest)
-        for s in sg.elements:
-            for t in sg.elements:
-                checked += 1
-                related = agrees_on_divisors(a, embeddings[s.index], embeddings[t.index])
-                collapsed = (s.index, t.index) in rees.pairs
-                if related != collapsed:
-                    return checked, {
-                        "base": a.name,
-                        "s": s.name,
-                        "t": t.name,
-                        "agree_on_divisors": related,
-                        "rees_related": collapsed,
-                    }
+        for s, e_s in enumerate(embeddings):
+            # the row of cases (a, s, t) for every t at once
+            related = [agrees_on_divisors(a, e_s, e_t) for e_t in embeddings]
+            collapsed = list(map(rees.pairs.__contains__, zip(repeat(s), carrier)))
+            t = _first_mismatch(related, collapsed)
+            if t is not None:
+                return checked + t + 1, {
+                    "base": a.name,
+                    "s": sg.names[s],
+                    "t": sg.names[t],
+                    "agree_on_divisors": related[t],
+                    "rees_related": collapsed[t],
+                }
+            checked += sg.order
     return checked, None
 
 

@@ -64,6 +64,29 @@ def least_nontrivial_ideal(table):
     return least[0] if least else None
 
 
+def principal_ideals(table):
+    """J(s) for every s, from one materialized adjoined-identity table."""
+    n = len(table)
+    t1 = adjoin_identity(table)
+    return [frozenset(t1[t1[x][s]][y] for x in range(n + 1) for y in range(n + 1))
+            for s in range(n)]
+
+
+def least_principal_ideal(table, min_size=1):
+    """The least ideal with at least min_size elements, found among the
+    principal ideals, for carriers too wide for subset enumeration.
+
+    Every ideal contains the principal ideal of each of its members.  An
+    ideal with two or more elements has a member that is not a zero, and
+    the principal ideal of such a member has two or more elements.  So
+    for min_size 1 or 2 the least such ideal, when it exists, is a
+    principal ideal contained in every other one of that size.
+    """
+    ideals = [p for p in principal_ideals(table) if len(p) >= min_size]
+    least = [p for p in ideals if all(p <= q for q in ideals) and is_ideal(table, p)]
+    return least[0] if least else None
+
+
 def zero_of(table):
     n = len(table)
     for z in range(n):

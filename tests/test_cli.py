@@ -238,6 +238,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--order", "3", "--count-only")
         assert code == 0 and out.strip() == "113"
 
+    def test_count_only_order_four(self, capsys):
+        with pytest.warns(UserWarning, match="order <= 3"):
+            code, out, _ = run(capsys, "enumerate", "--order", "4", "--count-only")
+        assert code == 0 and out.strip() == "3492"
+
     def test_streams_parseable_tables(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--order", "1")
         assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import semifuzz as sf
 
 
@@ -31,6 +32,48 @@ class TestAgreement:
         g = sf.constant(left_zero2, 0)
         with pytest.raises(ValueError):
             sf.agrees_on_divisors("a", f_null, g)
+
+
+class TestAgainstOracleDivisorSets:
+    """restrict and agrees_on_divisors read the divisor set through one
+    cached gather per base; check both at every base of every semigroup
+    of order <= 3, one-element divisor sets included."""
+
+    def test_restrict(self, small_semigroups):
+        chain = sf.make_chain(2)
+        singletons = 0
+        for seed, sg in enumerate(small_semigroups):
+            f = sf.random_fuzzy_set(sg, chain, seed)
+            for a in range(sg.order):
+                domain = sorted(oracles.divisor_set(sg.table, a))
+                singletons += len(domain) == 1
+                out = sf.restrict(a, f)
+                assert type(out.values) is tuple
+                assert out.values == tuple(f.values[s] for s in domain)
+        assert singletons > 0
+
+    def test_agrees_on_divisors(self, small_semigroups):
+        # equal values are held by distinct objects in g, so agreement
+        # cannot rest on identity alone
+        chain = sf.make_chain(1)
+        for sg in small_semigroups:
+            sets = list(sf.enumerate_fuzzy_sets(sg, chain))
+            copies = [sf.FuzzySet(sg, tuple(Fraction(v.numerator, v.denominator) for v in g.values))
+                      for g in sets]
+            for a in range(sg.order):
+                domain = oracles.divisor_set(sg.table, a)
+                for f in sets:
+                    for g in copies:
+                        expected = all(f.values[s] == g.values[s] for s in domain)
+                        assert sf.agrees_on_divisors(a, f, g) == expected
+
+    def test_monogenic_generator_has_one_divisor(self, mono31):
+        # c divides only itself, the smallest case the gather handles
+        f = sf.fuzzy_set(mono31, {"c": "1/3", "c2": "1", "c3": "0"})
+        g = sf.fuzzy_set(mono31, {"c": "1/3", "c2": "0", "c3": "1"})
+        assert sf.restrict("c", f).values == (Fraction(1, 3),)
+        assert sf.agrees_on_divisors("c", f, g)
+        assert not sf.agrees_on_divisors("c2", f, g)
 
 
 class TestRestrict:

@@ -1,11 +1,14 @@
 """Chains, streams, catalog families, closure, and seeded randomness."""
 
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import oracles
 import semifuzz as sf
+from semifuzz.fuzzy import ONE, ZERO
 
 
 class TestChains:
@@ -31,6 +34,12 @@ class TestChains:
             sf.chain_of(["1/2", "1"])
         with pytest.raises(ValueError, match="start at 0"):
             sf.chain_of(["0", "1/2"])
+
+    def test_endpoints_are_the_kernel_constants(self):
+        # kernel results that reach 0 then hold the chain's own 0 object,
+        # which the exhaustive sweeps look up by identity
+        for chain in (sf.make_chain(1), sf.make_chain(3), sf.chain_of(["0", "1/3", "1"])):
+            assert chain.values[0] is ZERO and chain.values[-1] is ONE
 
     def test_membership(self):
         chain = sf.make_chain(2)
@@ -72,6 +81,28 @@ class TestSemigroupStream:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             list(sf.enumerate_semigroups(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_naive_filter(self, n):
+        # the full scan the backtracking search replaces: every candidate
+        # table in lexicographic order, kept when the oracle finds no
+        # non-associative triple
+        names = tuple("abc"[:n])
+        naive = []
+        for flat in product(range(n), repeat=n * n):
+            table = tuple(flat[i:i + n] for i in range(0, n * n, n))
+            if oracles.first_nonassociative_triple(table) is None:
+                naive.append(sf.Semigroup(names, table))
+        assert list(sf.enumerate_semigroups(n)) == naive
+
+    def test_order_four(self):
+        # OEIS A023814: 3492 labeled semigroups of order 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            tables = [sg.table for sg in sf.enumerate_semigroups(4)]
+        assert len(tables) == 3492
+        assert all(oracles.first_nonassociative_triple(t) is None for t in tables)
+        assert all(a < b for a, b in zip(tables, tables[1:]))
 
     def test_warns_above_exhaustive_limit(self):
         stream = sf.enumerate_semigroups(4)

@@ -335,6 +335,22 @@ class TestIdealsKernelCore:
             expected = oracles.least_nontrivial_ideal(sg.table)
             assert (None if core is None else core.indices) == expected
 
+    def test_principal_ideal_oracle_matches_ideal_enumeration(self, small_semigroups,
+                                                              catalog_roster):
+        for sg in small_semigroups + catalog_roster:
+            assert oracles.least_principal_ideal(sg.table) == oracles.least_ideal(sg.table)
+            assert (oracles.least_principal_ideal(sg.table, 2)
+                    == oracles.least_nontrivial_ideal(sg.table))
+
+    @pytest.mark.parametrize("generators", [CLOSURE_40, CLOSURE_128])
+    def test_kernel_and_core_on_wide_closures(self, generators):
+        # kernel() and core() check nothing per call, so check them here on
+        # carriers too wide for subset enumeration
+        sg = sf.transformation_closure(generators)
+        assert sg.kernel().indices == oracles.least_principal_ideal(sg.table)
+        core = sg.core()
+        assert (None if core is None else core.indices) == oracles.least_principal_ideal(sg.table, 2)
+
 
 class TestReesCongruence:
     def test_monogenic_classes(self, mono31):

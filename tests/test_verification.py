@@ -199,6 +199,22 @@ def loop_quotient_iso(sg, chain, conv, star, agree):
     return checked, None
 
 
+def loop_restriction_rees(sg, agree):
+    embeddings = [sf.embed_element(sg, e) for e in sg.elements]
+    checked = 0
+    for a in sg.elements:
+        rest = frozenset(range(sg.order)) - oracles.divisor_set(sg.table, a.index)
+        for s in sg.elements:
+            for t in sg.elements:
+                checked += 1
+                related = agree(a, embeddings[s.index], embeddings[t.index])
+                collapsed = s == t or (s.index in rest and t.index in rest)
+                if related != collapsed:
+                    return checked, {"base": a.name, "s": s.name, "t": t.name,
+                                     "agree_on_divisors": related, "rees_related": collapsed}
+    return checked, None
+
+
 @pytest.fixture
 def confirm_everything(monkeypatch):
     # a planted fault is no genuine counterexample, so the independent
@@ -261,6 +277,22 @@ class TestPlantedFaults:
         assert expected[1]["property"] == "class-separation"
         self.assert_caught(mono31, "quotient-iso", expected)
 
+    @pytest.mark.parametrize("sg_name, bad", [
+        ("mono31", ("c", "c", "c")), ("mono31", ("c2", "c3", "c2")),
+        ("mono31", ("c3", "c3", "c")), ("null2", ("a", "0", "a")),
+    ])
+    def test_restriction_rees(self, request, sg_name, bad, monkeypatch, confirm_everything):
+        sg = request.getfixturevalue(sg_name)
+        embeddings = [sf.embed_element(sg, e) for e in sg.elements]
+        wrong = (sg.element(bad[0]), embeddings[sg.element(bad[1]).index],
+                 embeddings[sg.element(bad[2]).index])
+
+        def agree(a, f, g):
+            return sf.agrees_on_divisors(a, f, g) != ((sg.element(a), f, g) == wrong)
+
+        monkeypatch.setattr(verification, "agrees_on_divisors", agree)
+        self.assert_caught(sg, "restriction-rees", loop_restriction_rees(sg, agree))
+
     @pytest.mark.parametrize("theorem, kernel", [
         ("star-assoc", "star_convolve"), ("delta-congruence", "convolve"),
         ("quotient-iso", "convolve"), ("quotient-iso", "star_convolve"),
@@ -276,6 +308,49 @@ class TestPlantedFaults:
         monkeypatch.setattr(verification, kernel, off_chain)
         with pytest.raises(RuntimeError, match="outside the enumerated universe"):
             sf.verify_theorem(mono31, theorem, sf.Exhaustive(self.CHAIN))
+
+
+def fresh_values(real):
+    """``real``, with every value of its result replaced by an equal but
+    distinct Fraction object."""
+    def kernel(*args):
+        out = real(*args)
+        fresh = tuple(Fraction(v.numerator, v.denominator) for v in out.values)
+        assert all(x is not y for x, y in zip(fresh, out.values))
+        return dataclasses.replace(out, values=fresh)
+    return kernel
+
+
+class TestIdentityLookup:
+    """Universe members are found by the identities of their value
+    objects, with an exact lookup by value as the fallback."""
+
+    def test_identical_values_take_the_identity_lookup(self, mono31, chain2):
+        universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
+        positions = verification._Positions(universe)
+        for i, u in enumerate(universe):
+            assert positions.locate(sf.FuzzySet(mono31, tuple(u.values))) == i
+        assert positions.by_values is None
+
+    def test_equal_values_take_the_exact_fallback(self, mono31, chain2):
+        universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
+        positions = verification._Positions(universe)
+        copy = fresh_values(lambda f: f)(universe[17])
+        assert positions.locate(copy) == 17
+        assert positions.by_values is not None
+        outside = sf.FuzzySet(mono31, (Fraction(1, 3),) * 3)
+        with pytest.raises(RuntimeError, match="outside the enumerated universe"):
+            positions.locate(outside)
+
+    @pytest.mark.parametrize("theorem", ["star-assoc", "delta-congruence", "quotient-iso"])
+    def test_sweeps_agree_when_no_value_object_is_shared(self, mono31, theorem, monkeypatch):
+        strategy = sf.Exhaustive(sf.make_chain(2))
+        expected = sf.verify_theorem(mono31, theorem, strategy)
+        for name in ("convolve", "star_convolve", "restrict"):
+            monkeypatch.setattr(verification, name, fresh_values(getattr(verification, name)))
+        report = sf.verify_theorem(mono31, theorem, strategy)
+        assert report.verdict == expected.verdict == "pass"
+        assert report.cases_checked == expected.cases_checked
 
 
 class TestUniverseLimit:
