@@ -67,11 +67,6 @@ def parse_value(raw: object) -> Fraction:
     return value
 
 
-def format_value(value: Fraction) -> str:
-    """Canonical text form: lowest terms, "0" and "1" at the endpoints."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class FuzzySet:
     """A total mapping from one semigroup's carrier into [0, 1].
@@ -96,7 +91,7 @@ class FuzzySet:
 
     def as_dict(self) -> dict[str, str]:
         """JSON form: element name to canonical rational string, carrier order."""
-        return {name: format_value(v) for name, v in zip(self.semigroup.names, self.values)}
+        return dict(zip(self.semigroup.names, map(str, self.values)))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}: {v}" for k, v in self.as_dict().items())
@@ -243,7 +238,7 @@ class RestrictedFuzzySet:
         return star_convolve(self, other)
 
     def as_dict(self) -> dict:
-        values = {e.name: format_value(v) for e, v in zip(self.domain, self.values)}
+        values = {e.name: str(v) for e, v in zip(self.domain, self.values)}
         return {"base": self.semigroup.names[self.base], "values": values}
 
     def __str__(self) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Iterator, Sequence
 
 
@@ -229,6 +229,10 @@ class Semigroup:
         return (ElementSet(self, self._divisor_sets[idx]),
                 ElementSet(self, self._divisor_complements[idx]))
 
+    @cached_property
+    def _kernel(self) -> frozenset[int]:
+        return reduce(and_, self._principal_ideals)
+
     def kernel(self) -> ElementSet:
         """The least ideal: the intersection of all principal ideals.
 
@@ -241,19 +245,19 @@ class Semigroup:
         built; the kernel-criterion check cross-validates the result
         against ideal enumeration.
         """
-        acc = frozenset(range(self.order))
-        for pidl in self._principal_ideals:
-            acc &= pidl
-        return ElementSet(self, acc)
+        return ElementSet(self, self._kernel)
 
     def zero_element(self) -> Element | None:
-        """The element z with z*x == x*z == z for all x, if one exists."""
-        n = self.order
-        for z in range(n):
-            row = self.table[z]
-            if all(row[x] == z and self.table[x][z] == z for x in range(n)):
-                return self.elements[z]
-        return None
+        """The element z with z*x == x*z == z for all x, if one exists.
+
+        A zero exists exactly when the kernel has one element: a zero z
+        makes {z} an ideal, which lies inside every ideal, and a kernel
+        {z} holds z*x and x*z for every x.
+        """
+        if len(self._kernel) != 1:
+            return None
+        (z,) = self._kernel
+        return self.elements[z]
 
     def core(self) -> ElementSet | None:
         """The least ideal with more than one element, or None.
@@ -401,10 +405,6 @@ class ElementRelation:
             seen |= block
             blocks.append(ElementSet(self.semigroup, block))
         return tuple(blocks)
-
-
-def identity_relation(semigroup: Semigroup) -> ElementRelation:
-    return ElementRelation(semigroup, frozenset((x, x) for x in range(semigroup.order)))
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")

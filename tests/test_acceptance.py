@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 
 CHAIN01 = sf.make_chain(1)
@@ -101,7 +101,7 @@ def test_criterion_8_core_criterion(small_semigroups):
     zero_violations = 0
     for sg in small_semigroups:
         core = sg.core()
-        expected = oracles.least_nontrivial_ideal(sg.table)
+        expected = oracles.least_ideal(sg.table, 2)
         if (None if core is None else core.indices) != expected:
             core_mismatches += 1
         zero = sg.zero_element()
@@ -144,7 +144,7 @@ def test_criterion_10_worked_micro_examples(null2, mono31):
         and set(mono31.kernel().names()) == {"c3"}
         and mono31.kernel().indices == oracles.least_ideal(mono31.table)
         and set(mono31.core().names()) == {"c2", "c3"}
-        and mono31.core().indices == oracles.least_nontrivial_ideal(mono31.table)
+        and mono31.core().indices == oracles.least_ideal(mono31.table, 2)
     )
     report(10, "worked micro-examples", convolution_ok and mono_ok,
            "convolution 7/10 and monogenic divisor/kernel/core data reproduced")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 
 

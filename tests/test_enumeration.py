@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 from semifuzz.fuzzy import ONE, ZERO
 

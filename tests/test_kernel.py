@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 from semifuzz.semigroups import _find_nonassociative_triple, _generators
 
@@ -309,8 +309,9 @@ class TestIdealsKernelCore:
         assert left_zero2.zero_element() is None
         assert mono31.zero_element().name == "c3"
 
-    def test_zero_matches_oracle(self, small_semigroups):
-        for sg in small_semigroups:
+    def test_zero_matches_oracle(self, small_semigroups, catalog_roster):
+        closures = [sf.transformation_closure(gens) for gens in (CLOSURE_40, CLOSURE_128)]
+        for sg in small_semigroups + catalog_roster + closures:
             zero = sg.zero_element()
             assert (None if zero is None else zero.index) == oracles.zero_of(sg.table)
 
@@ -327,12 +328,12 @@ class TestIdealsKernelCore:
         # two incomparable non-trivial principal ideals meeting in the zero
         sg = sf.catalog("null", 3)
         assert sg.core() is None
-        assert oracles.least_nontrivial_ideal(sg.table) is None
+        assert oracles.least_ideal(sg.table, 2) is None
 
     def test_core_matches_ideal_enumeration(self, small_semigroups, catalog_roster):
         for sg in small_semigroups + catalog_roster:
             core = sg.core()
-            expected = oracles.least_nontrivial_ideal(sg.table)
+            expected = oracles.least_ideal(sg.table, 2)
             assert (None if core is None else core.indices) == expected
 
     def test_principal_ideal_oracle_matches_ideal_enumeration(self, small_semigroups,
@@ -340,7 +341,7 @@ class TestIdealsKernelCore:
         for sg in small_semigroups + catalog_roster:
             assert oracles.least_principal_ideal(sg.table) == oracles.least_ideal(sg.table)
             assert (oracles.least_principal_ideal(sg.table, 2)
-                    == oracles.least_nontrivial_ideal(sg.table))
+                    == oracles.least_ideal(sg.table, 2))
 
     @pytest.mark.parametrize("generators", [CLOSURE_40, CLOSURE_128])
     def test_kernel_and_core_on_wide_closures(self, generators):
@@ -360,7 +361,7 @@ class TestReesCongruence:
 
     def test_empty_set_gives_identity(self, mono31):
         rel = mono31.rees_congruence(mono31.subset([]))
-        assert rel == sf.identity_relation(mono31)
+        assert rel == sf.ElementRelation(mono31, frozenset((x, x) for x in range(mono31.order)))
 
     def test_singleton_ideal_collapses_nothing(self, null2):
         rel = null2.rees_congruence(null2.subset(["0"]))

@@ -1,0 +1,50 @@
+"""Source-level properties of the package: no library ``assert``, and a
+reference module that stands apart from the package it checks."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import semifuzz as sf
+
+PACKAGE = Path(sf.__file__).parent
+REFERENCE = PACKAGE / "reference.py"
+
+
+def test_no_library_asserts():
+    # python -O strips asserts, so no library invariant may rest on one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_reference_imports_only_the_standard_library():
+    imported = []
+    for node in ast.walk(ast.parse(REFERENCE.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in reference.py"
+            imported.append(node.module)
+    assert imported
+    assert all(name.split(".")[0] in sys.stdlib_module_names for name in imported), imported
+
+
+def test_reference_loads_by_path_without_the_package():
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('reference', {str(REFERENCE)!r})\n"
+        "ref = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(ref)\n"
+        "assert ref.divisor_set([[0, 0], [0, 0]], 0) == {0, 1}\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'semifuzz'))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=REFERENCE.parent.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
+from semifuzz import reference as oracles
 import semifuzz as sf
 from semifuzz import verification
 
@@ -17,6 +17,11 @@ from semifuzz import verification
 @pytest.fixture
 def chain2():
     return sf.make_chain(2)
+
+
+@pytest.fixture(scope="module")
+def ft2():
+    return sf.catalog("full_transformation", 2)
 
 
 class TestStrategyAndDispatch:
@@ -127,6 +132,17 @@ def wrong_on(real, bad_f, bad_g):
         if f == bad_f and g == bad_g:
             first = Fraction(0) if out.values[0] == 1 else Fraction(1)
             out = dataclasses.replace(out, values=(first,) + out.values[1:])
+        return out
+    return kernel
+
+
+def complemented_when_both_end_in_one(real):
+    """``real``, except that a product of two operands whose last values
+    are both 1 has every value v replaced by 1 - v."""
+    def kernel(f, g):
+        out = real(f, g)
+        if f.values[-1] == g.values[-1] == 1:
+            out = dataclasses.replace(out, values=tuple(1 - v for v in out.values))
         return out
     return kernel
 
@@ -292,6 +308,67 @@ class TestPlantedFaults:
 
         monkeypatch.setattr(verification, "agrees_on_divisors", agree)
         self.assert_caught(sg, "restriction-rees", loop_restriction_rees(sg, agree))
+
+    # recorded from the hand-written sampled loops that the row generators
+    # replaced; they pin each sampled stream per seed
+    @pytest.mark.parametrize("sg_name, theorem, kernel, checked, payload", [
+        ("mono31", "star-assoc", "star_convolve", 15, {"base": "c3",
+            "f": {"base": "c3", "values": {"c": "1/3", "c2": "1", "c3": "1"}},
+            "g": {"base": "c3", "values": {"c": "0", "c2": "1", "c3": "1"}},
+            "h": {"base": "c3", "values": {"c": "1/3", "c2": "0", "c3": "2/3"}},
+            "lhs": {"base": "c3", "values": {"c": "0", "c2": "1/3", "c3": "2/3"}},
+            "rhs": {"base": "c3", "values": {"c": "0", "c2": "0", "c3": "2/3"}}}),
+        ("mono31", "delta-congruence", "convolve", 9, {"base": "c2",
+            "f1": {"c": "1", "c2": "1/3", "c3": "1/3"},
+            "g1": {"c": "1", "c2": "1/3", "c3": "1"},
+            "f2": {"c": "1", "c2": "1/3", "c3": "1/3"},
+            "g2": {"c": "1", "c2": "1/3", "c3": "1"}}),
+        ("mono31", "quotient-iso", "convolve", 30, {"property": "homomorphism",
+            "base": "c3",
+            "f": {"c": "1/3", "c2": "1", "c3": "1"},
+            "g": {"c": "0", "c2": "1", "c3": "1"},
+            "lhs": {"base": "c3", "values": {"c": "1", "c2": "1", "c3": "0"}},
+            "rhs": {"base": "c3", "values": {"c": "0", "c2": "0", "c3": "1"}}}),
+        ("mono31", "quotient-iso", "star_convolve", 3, {"property": "homomorphism",
+            "base": "c2",
+            "f": {"c": "1", "c2": "1", "c3": "1/3"},
+            "g": {"c": "1/3", "c2": "1", "c3": "1/3"},
+            "lhs": {"base": "c2", "values": {"c": "0", "c2": "1/3"}},
+            "rhs": {"base": "c2", "values": {"c": "1", "c2": "2/3"}}}),
+        ("ft2", "star-assoc", "star_convolve", 28, {"base": "t11",
+            "f": {"base": "t11", "values": {"t11": "1", "t12": "0", "t21": "1/3", "t22": "1/3"}},
+            "g": {"base": "t11", "values": {"t11": "2/3", "t12": "2/3", "t21": "1/3", "t22": "1"}},
+            "h": {"base": "t11", "values": {"t11": "1/3", "t12": "0", "t21": "1", "t22": "1"}},
+            "lhs": {"base": "t11", "values": {"t11": "0", "t12": "2/3", "t21": "2/3", "t22": "0"}},
+            "rhs": {"base": "t11",
+                    "values": {"t11": "2/3", "t12": "1/3", "t21": "1/3", "t22": "1/3"}}}),
+        ("ft2", "delta-congruence", "convolve", 44, {"base": "t12",
+            "f1": {"t11": "1/3", "t12": "2/3", "t21": "0", "t22": "0"},
+            "g1": {"t11": "2/3", "t12": "2/3", "t21": "0", "t22": "1"},
+            "f2": {"t11": "1/3", "t12": "1", "t21": "0", "t22": "0"},
+            "g2": {"t11": "1", "t12": "1", "t21": "0", "t22": "1"}}),
+        ("ft2", "quotient-iso", "convolve", 93, {"property": "homomorphism",
+            "base": "t12",
+            "f": {"t11": "0", "t12": "1", "t21": "1", "t22": "1"},
+            "g": {"t11": "2/3", "t12": "1/3", "t21": "1", "t22": "1"},
+            "lhs": {"base": "t12", "values": {"t12": "0", "t21": "0"}},
+            "rhs": {"base": "t12", "values": {"t12": "1", "t21": "1"}}}),
+        ("ft2", "quotient-iso", "star_convolve", 75, {"property": "homomorphism",
+            "base": "t21",
+            "f": {"t11": "2/3", "t12": "1/3", "t21": "1", "t22": "1/3"},
+            "g": {"t11": "0", "t12": "1", "t21": "1", "t22": "1/3"},
+            "lhs": {"base": "t21", "values": {"t12": "1", "t21": "1"}},
+            "rhs": {"base": "t21", "values": {"t12": "0", "t21": "0"}}}),
+    ])
+    def test_sampled_streams(self, request, sg_name, theorem, kernel, checked, payload,
+                             monkeypatch, confirm_everything):
+        sg = request.getfixturevalue(sg_name)
+        monkeypatch.setattr(verification, kernel,
+                            complemented_when_both_end_in_one(getattr(sf, kernel)))
+        report = sf.verify_theorem(sg, theorem, sf.Sampled(sf.make_chain(3), 500, seed=11))
+        assert report.verdict == "fail"
+        assert report.cases_checked == checked
+        assert report.counterexample == payload
 
     @pytest.mark.parametrize("theorem, kernel", [
         ("star-assoc", "star_convolve"), ("delta-congruence", "convolve"),
@@ -521,6 +598,16 @@ class TestRecheck:
         assert report.counterexample["values"] == ["0", "1"]
         blob = report.to_json()
         assert json.loads(json.dumps(blob))["counterexample"] == report.counterexample
+
+    def test_distributivity_recheck_is_independent(self, mono31, chain2, monkeypatch):
+        # a main-path evaluator that sees a violation everywhere must not
+        # be able to confirm its own counterexample
+        def always_violated(values, b):
+            return {"law": "meet-over-join", "values": [str(v) for v in values], "b": str(b)}
+
+        monkeypatch.setattr(verification, "_distributivity_violation", always_violated)
+        with pytest.raises(RuntimeError, match="recheck"):
+            sf.verify_theorem(mono31, "distributivity", sf.Exhaustive(chain2))
 
     def test_unknown_theorem_recheck(self, null2):
         with pytest.raises(ValueError, match="unknown theorem"):
