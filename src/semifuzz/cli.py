@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes are a stable contract: 0 on success, 1 when a verification
-run finds a counterexample, 2 for usage and input-format problems.
+run finds a counterexample, 2 for usage and input-format problems and
+for a verifier inconsistency (the verifier contradicted itself, so there
+is no verdict to report), which prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .decomposition import subdirect_embed
 from .enumeration import catalog, enumerate_semigroups, make_chain
 from .fuzzy import convolve, fuzzy_set_from_json, restricted_from_json, star_convolve
 from .semigroups import Semigroup, semigroup_from_json, semigroup_to_json
-from .verification import Exhaustive, Sampled, THEOREMS, verify_theorem
+from .verification import Exhaustive, Sampled, THEOREMS, VerifierInconsistency, verify_theorem
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -25,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, VerifierInconsistency) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,19 @@ Both run through one kernel, built on the alpha-cut decomposition:
 (f*g)(t) >= c exactly when t = xy with f(x) >= c and g(y) >= c.  It
 ranks the operands' distinct values by exact integer keys (the values
 over a common denominator) and admits their holders from the highest
-rank down, pairing each new factor with the other side's factors
-admitted so far.  Each pair is visited once, at min(f(x), g(y)), so the
-value at which a target is first reached is its maximum.  The sweep
-stops once every target with a factorization is reached; the rest stay
-0.  Results reuse the operands' value objects, so they are exact.
+rank down, one level per value; a target takes the value of the level at
+which one of its factor pairs first has both factors admitted, which is
+its maximum.  Each level settles its targets in whichever direction
+visits fewer factor pairs, as in direction-optimizing breadth-first
+search (Beamer, Asanovic and Patterson, SC 2012): push pairs each new
+factor with the other side's admitted factors, which is cheap while few
+factors are admitted; pull tests the factor pairs of each still-pending
+target, which is cheap once few targets are pending.  The two agree
+exactly: a pending target has no factor pair admitted at a higher level,
+so any pair that reaches it now has a factor of this level, and its min
+is this level's value.  The sweep stops once every target with a
+factorization is reached; the rest stay 0.  Results reuse the operands'
+value objects, so they are exact.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Callable, Mapping
 
@@ -149,18 +158,33 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
 
     The domain is the carrier when ``base`` is None, else the divisor set
     of ``base``; fv, gv and the result align with it.
+
+    Each level admits the holders of one value and settles the pending
+    targets that now have a factor pair with both factors admitted, in
+    whichever direction visits fewer pairs.  Push pairs each new factor
+    with the other side's admitted factors, |new_x|*|seen_y| +
+    |seen_x + new_x|*|new_y| pairs.  Pull tests the factor pairs of each
+    pending target (``Semigroup._fibers``) against admitted-factor sets,
+    and on its first use also counts the factors it puts in those sets.
+    Both find the same targets: a pending target has no factor pair
+    admitted before this level, so a pair that reaches it now has a new
+    factor, and its min is this level's value.
     """
     domain, targets = sg._sup_min_plan(base)
     if not targets:
         return (ZERO,) * len(domain)
     # each distinct value object, with the domain elements holding it in f and in g
     holders: dict[int, tuple[Fraction, list[int], list[int]]] = {}
-    for side, values in ((1, fv), (2, gv)):
-        for s, v in zip(domain, values):
-            h = holders.get(id(v))
-            if h is None:
-                h = holders[id(v)] = (v, [], [])
-            h[side].append(s)
+    for s, v in zip(domain, fv):
+        h = holders.get(id(v))
+        if h is None:
+            h = holders[id(v)] = (v, [], [])
+        h[1].append(s)
+    for s, v in zip(domain, gv):
+        h = holders.get(id(v))
+        if h is None:
+            h = holders[id(v)] = (v, [], [])
+        h[2].append(s)
     scale = lcm(*[h[0].denominator for h in holders.values()])
     ranked = sorted([(v.numerator * (scale // v.denominator), i, v, xs, ys)
                      for i, (v, xs, ys) in holders.items()], reverse=True)
@@ -169,17 +193,41 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     rows, cols = sg.table, sg._columns
     seen_x: list[int] = []
     seen_y: list[int] = []
+    in_x = in_y = None  # admitted-factor sets, built when pull first wins
     for key, _, value, new_x, new_y in ranked:
         if key <= 0 or not pending:
             break
-        hit: set[int] = set()
-        for x in new_x:
-            hit.update(map(rows[x].__getitem__, seen_y))
-        seen_x += new_x
-        seen_y += new_y
-        for y in new_y:
-            hit.update(map(cols[y].__getitem__, seen_x))
-        hit &= pending
+        push = len(new_x) * len(seen_y) + (len(seen_x) + len(new_x)) * len(new_y)
+        pulling = False
+        # pull visits at least one pair per pending target, so the fibers
+        # are read only when that lower bound is below the push count
+        if push > len(pending):
+            setup = 0 if in_x is not None else len(seen_x) + len(new_x) + len(seen_y) + len(new_y)
+            if push > len(pending) + setup:
+                lefts, rights, sizes = sg._fibers
+                pulling = sum(map(sizes.__getitem__, pending)) + setup < push
+        if pulling:
+            if in_x is None:
+                in_x, in_y = set(seen_x), set(seen_y)
+            in_x.update(new_x)
+            in_y.update(new_y)
+            hit = {t for t in pending
+                   if any(map(in_y.__contains__, compress(rights[t], map(in_x.__contains__, lefts[t]))))}
+            seen_x += new_x
+            seen_y += new_y
+        else:
+            hit = set()
+            if seen_y:
+                for x in new_x:
+                    hit.update(map(rows[x].__getitem__, seen_y))
+            seen_x += new_x
+            seen_y += new_y
+            for y in new_y:
+                hit.update(map(cols[y].__getitem__, seen_x))
+            hit &= pending
+            if in_x is not None:
+                in_x.update(new_x)
+                in_y.update(new_y)
         for t in hit:
             found[t] = value
         pending -= hit

@@ -76,8 +76,12 @@ class Semigroup:
     def element(self, ref: Element | str | int) -> Element:
         """Coerce a name, index, or Element into an element of this semigroup."""
         if isinstance(ref, Element):
-            if 0 <= ref.index < self.order and self.names[ref.index] == ref.name:
-                return self.elements[ref.index]
+            elements = self.elements
+            if 0 <= ref.index < len(elements):
+                own = elements[ref.index]
+                # one of this semigroup's own Element objects needs no name check
+                if own is ref or own.name == ref.name:
+                    return own
             raise ValueError(f"{ref!r} does not belong to {self!r}")
         if isinstance(ref, bool):
             raise TypeError(f"cannot interpret {ref!r} as an element")
@@ -121,6 +125,16 @@ class Semigroup:
     def square_set(self) -> ElementSet:
         """The set of elements expressible as a product of two elements."""
         return ElementSet(self, frozenset(i for i in range(self.order) if self._factorizations[i]))
+
+    @cached_property
+    def _fibers(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        # per target index: its left factors, its right factors (parallel,
+        # so x*y == target for each aligned pair) and their count; the
+        # sup-min kernel pulls from these once few targets are pending
+        facs = self._factorizations
+        lefts = tuple(tuple(map(itemgetter(0), f)) for f in facs)
+        rights = tuple(tuple(map(itemgetter(1), f)) for f in facs)
+        return lefts, rights, tuple(map(len, facs))
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:

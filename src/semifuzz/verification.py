@@ -10,7 +10,7 @@ statement from the raw payload through :mod:`semifuzz.reference`, naive
 code that imports nothing from the package (materialized identity
 adjunction, direct double loops, subset ideal enumeration).  A
 counterexample that does not survive that recheck is a verifier
-inconsistency and raises RuntimeError instead of being reported.
+inconsistency and raises VerifierInconsistency instead of being reported.
 
 Each check is a generator of rows of cases that one driver,
 :func:`_sweep`, folds into ``(cases_checked, payload)``: a row reports
@@ -29,7 +29,7 @@ value objects, which the kernel takes from its operands (or is its own
 0, every chain's 0); the universe stays alive for the whole sweep, so
 no id is reused.  A result with equal values held by other objects
 falls back to an exact lookup by value, and a result outside the
-universe is a verifier inconsistency and raises RuntimeError.
+universe is a verifier inconsistency and raises VerifierInconsistency.
 Agreement at a base is tabulated the same way, one
 ``agrees_on_divisors`` call per pair, and is used as a matrix rather
 than as classes, so transitivity is never assumed.  Each case
@@ -88,6 +88,15 @@ CROSS_VALIDATION_LIMIT = 12
 # an exhaustive sweep holds its universe and an M x M product table of it;
 # 4096 sets make a 16.7M-entry table
 EXHAUSTIVE_UNIVERSE_LIMIT = 4096
+
+
+class VerifierInconsistency(RuntimeError):
+    """The verifier contradicted itself, so its verdict cannot be trusted.
+
+    Raised when a counterexample fails its independent recheck, or when a
+    kernel product lies outside a universe that is closed under it.
+    Either points at a defect in the library, not in the input.
+    """
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,7 @@ def verify_theorem(semigroup: Semigroup, theorem: str,
         raise TypeError(f"not a strategy: {strategy!r}")
     checked, payload = _CHECKERS[theorem](semigroup, strategy.chain, rng, count)
     if payload is not None and not recheck_counterexample(semigroup, theorem, payload):
-        raise RuntimeError(
+        raise VerifierInconsistency(
             f"verifier inconsistency: a {theorem} counterexample failed its independent recheck: {payload!r}"
         )
     return VerificationReport(
@@ -229,7 +238,7 @@ class _Positions:
     that lookup.  Equal values held by other objects miss it and fall
     back to an exact lookup keyed by the values themselves; a fuzzy set
     that misses both lies outside the universe, which is a verifier
-    inconsistency and raises RuntimeError.
+    inconsistency and raises VerifierInconsistency.
     """
 
     def __init__(self, universe):
@@ -244,7 +253,7 @@ class _Positions:
                 self.by_values = {u.values: k for k, u in enumerate(self.universe)}
             i = self.by_values.get(fuzzy.values)
             if i is None:
-                raise RuntimeError(
+                raise VerifierInconsistency(
                     f"verifier inconsistency: {fuzzy} lies outside the enumerated universe")
         return i
 
@@ -254,7 +263,7 @@ def _product_table(universe, op) -> list[list[int]]:
 
     The universe is closed under the product (a chain holding 0 is
     closed under min and max), so every result must be found; one that
-    is not is a verifier inconsistency and raises RuntimeError.
+    is not is a verifier inconsistency and raises VerifierInconsistency.
     """
     locate = _Positions(universe).locate
     return [[locate(op(u, v)) for v in universe] for u in universe]

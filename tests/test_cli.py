@@ -1,11 +1,12 @@
 """The command-line surface: verbs, formats, and the exit-code contract."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import semifuzz as sf
-from semifuzz import cli
+from semifuzz import cli, verification
 from semifuzz.verification import VerificationReport
 
 NULL2 = {"elements": ["0", "a"], "table": [["0", "0"], ["0", "0"]]}
@@ -210,6 +211,25 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert '"base": "a"' in out
+
+    def test_verifier_inconsistency_gives_exit_two(self, write, capsys, monkeypatch):
+        # a kernel defect: a product outside the chain-1 universe it must stay in
+        real = verification.convolve
+
+        def planted(f, g):
+            out = real(f, g)
+            return sf.FuzzySet(out.semigroup, (Fraction(1, 3),) + out.values[1:])
+
+        monkeypatch.setattr(verification, "convolve", planted)
+        sg = write("mono.json", MONO31)
+        code, out, err = run(capsys, "verify", sg, "--theorem", "delta-congruence", "--chain", "1")
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: verifier inconsistency: ")
+        assert "outside the enumerated universe" in lines[0]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--theorem", "star-assoc", "--chain", "1"),  # no file, no sweep

@@ -4,6 +4,13 @@ Every semigroup of order <= 3 is checked with both products at every
 base, on value tuples built in the ways callers build them: shared chain
 objects, arbitrary rationals, equal values held as distinct objects, and
 plain integers.  Divisor sets come from the oracle, not the library.
+
+The kernel settles each level by pushing new factors or by pulling from
+the factor pairs of pending targets, whichever visits fewer pairs.  Pull
+wins once few targets are pending on a wide carrier, as on the late
+levels of the 40- and 128-element closures at chain 16, so those are
+checked too, and a planted fault in the factor pairs the pull reads
+must show in the product.
 """
 
 import random
@@ -14,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semifuzz import reference as oracles
+from semifuzz.fuzzy import ZERO
 import semifuzz as sf
 
 
@@ -24,11 +32,16 @@ def domains(small_semigroups):
             for sg in small_semigroups}
 
 
+def own_objects(got, fv, gv):
+    """Every result value is one of the operands' value objects or the kernel's 0."""
+    return {id(v) for v in got} <= {id(v) for v in (*fv, *gv, ZERO)}
+
+
 def check_convolve(sg, fv, gv):
     expected = oracles.convolve(sg.table, dict(enumerate(fv)), dict(enumerate(gv)))
     got = sf.convolve(sf.FuzzySet(sg, tuple(fv)), sf.FuzzySet(sg, tuple(gv))).values
     assert got == tuple(expected[s] for s in range(sg.order))
-    assert all(v == 0 or v in fv or v in gv for v in got)
+    assert own_objects(got, fv, gv)
 
 
 def check_star(sg, base, domain, fv, gv):
@@ -37,6 +50,7 @@ def check_star(sg, base, domain, fv, gv):
     got = sf.star_convolve(sf.RestrictedFuzzySet(sg, base, tuple(fv)),
                            sf.RestrictedFuzzySet(sg, base, tuple(gv))).values
     assert got == tuple(expected[s] for s in domain)
+    assert own_objects(got, fv, gv)
 
 
 def check_everywhere(sg, domains, fv, gv):
@@ -110,3 +124,103 @@ def test_chain16_pair_on_the_128_element_closure():
     for a in sg.elements:
         got = sf.star_convolve(sf.restrict(a, f), sf.restrict(a, g))
         assert {e.index: got(e) for e in got.domain} == {e.index: expected[e.index] for e in got.domain}
+
+
+GENERATORS_40 = [(1, 2, 3, 0), (0, 0, 0, 3)]
+GENERATORS_128 = [(1, 2, 3, 0), (0, 0, 2, 3)]
+
+
+@pytest.fixture(scope="module")
+def closures():
+    """The 40- and 128-element closures, each with the oracle's divisor set
+    at one base of every divisor-set size."""
+    out = {}
+    for gens in (GENERATORS_40, GENERATORS_128):
+        sg = sf.transformation_closure(gens)
+        ideals = oracles.principal_ideals(sg.table)
+        domains = {}
+        for a in range(sg.order):
+            domain = [s for s, ideal in enumerate(ideals) if a in ideal]
+            domains.setdefault(len(domain), (a, domain))
+        out[sg.order] = (sg, sorted(domains.values()))
+    return out
+
+
+def check_wide(sg, domains, fv, gv):
+    """convolve, and star_convolve at each base, against the oracle."""
+    check_convolve(sg, fv, gv)
+    for a, domain in domains:
+        check_star(sg, a, domain, [fv[s] for s in domain], [gv[s] for s in domain])
+
+
+@pytest.mark.parametrize("k", [1, 2, 16])
+@pytest.mark.parametrize("order", [40, 128])
+def test_wide_closures(closures, order, k):
+    sg, domains = closures[order]
+    assert order == sg.order and len(domains) == (3 if order == 40 else 4)
+    chain = sf.make_chain(k).values
+    rng = random.Random(order * 100 + k)
+    check_wide(sg, domains, [rng.choice(chain) for _ in range(order)],
+               [rng.choice(chain) for _ in range(order)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_arbitrary_rationals_on_the_40_element_closure(closures, data):
+    sg, domains = closures[40]
+    values = st.lists(st.fractions(min_value=0, max_value=1), min_size=40, max_size=40)
+    check_wide(sg, domains, data.draw(values), data.draw(values))
+
+
+def test_pull_reads_the_fibers():
+    # f is 1 except on the left factors of t, where it is 1/2, and g is 1
+    # everywhere.  The first level admits every other left factor, so t is
+    # still pending at the second, which admits the left factors of t; its
+    # pending targets have fewer factor pairs (plus the 2n flags pull sets)
+    # than the |lefts of t| * n pairs push would visit, so that level pulls.
+    sg = sf.transformation_closure(GENERATORS_128)
+    n = sg.order
+    lefts, rights, sizes = sg._fibers
+    for t in range(n):
+        left = set(lefts[t])
+        pending = [u for u in range(n) if sizes[u] and set(lefts[u]) <= left]
+        if sizes[t] and len(left) * n > sum(sizes[u] for u in pending) + 2 * n:
+            break
+    else:
+        pytest.fail("no target is settled by pull")
+    half = Fraction(1, 2)
+    f = sf.FuzzySet(sg, tuple(half if x in left else Fraction(1) for x in range(n)))
+    g = sf.constant(sg, 1)
+    assert sf.convolve(f, g)(t) == half
+    corrupted = tuple(() if u == t else fiber for u, fiber in enumerate(lefts))
+    sg.__dict__["_fibers"] = (corrupted, rights, sizes)
+    assert sf.convolve(f, g)(t) == 0
+
+
+def test_a_push_between_pulls_keeps_the_pull_flags():
+    # f is 1 off the left factors of t except on nb elements at 3/4, and
+    # 1/4 on them; g is 1 off the right factors of t except on nb elements
+    # at 3/4, 1/2 on the right factor y1 and 0 on the other right factors.
+    # The four levels then run push, pull, push (y1 alone) and pull, and
+    # the last one reaches t only through y1, which the push admitted.
+    sg = sf.transformation_closure(GENERATORS_128)
+    n, t, y1, nb = sg.order, 6, 6, 8
+    lefts, rights, _ = sg._fibers
+    left, right = set(lefts[t]), set(rights[t])
+    assert y1 in right
+    xs = [x for x in range(n) if x not in left]
+    ys = [y for y in range(n) if y not in right]
+    one, three_quarters, half, quarter = (Fraction(k, 4) for k in (4, 3, 2, 1))
+    fv = [quarter] * n
+    for x in xs:
+        fv[x] = one
+    for x in xs[:nb]:
+        fv[x] = three_quarters
+    gv = [Fraction(0)] * n
+    for y in ys:
+        gv[y] = one
+    for y in ys[:nb]:
+        gv[y] = three_quarters
+    gv[y1] = half
+    check_convolve(sg, fv, gv)
+    assert sf.convolve(sf.FuzzySet(sg, tuple(fv)), sf.FuzzySet(sg, tuple(gv)))(t) == quarter

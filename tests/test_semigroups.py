@@ -126,6 +126,22 @@ class TestBuild:
         with pytest.raises(ValueError):
             mono31.element(null2.element("a"))
 
+    def test_equal_element_objects_coerce_to_the_cached_one(self, mono31):
+        own = mono31.elements[1]
+        assert mono31.element(own) is own
+        equal = sf.Element(1, "c2")
+        assert equal is not own and equal == own
+        assert mono31.element(equal) is own
+
+    @pytest.mark.parametrize("ref", [
+        sf.Element(3, "c"),   # past the end
+        sf.Element(-1, "c3"),  # negative, even with the last element's name
+        sf.Element(0, "c2"),  # in range, wrong name
+    ])
+    def test_out_of_range_or_misnamed_element_rejected(self, mono31, ref):
+        with pytest.raises(ValueError, match="does not belong"):
+            mono31.element(ref)
+
 
 class TestProducts:
     def test_left_zero_product(self, left_zero2):
