@@ -157,11 +157,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     if (args.file is None) == (args.all_orders is None):
-        print("error: give exactly one of FILE or --all-orders", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of FILE or --all-orders")
     if args.seed is not None and args.sampled is None:
-        print("error: --seed only makes sense with --sampled", file=sys.stderr)
-        return 2
+        raise ValueError("--seed only makes sense with --sampled")
     chain = make_chain(args.chain)
     if args.sampled is not None:
         strategy = Sampled(chain, args.sampled, 0 if args.seed is None else args.seed)
@@ -172,8 +170,7 @@ def _cmd_verify(args) -> int:
         reports = [verify_theorem(_load_semigroup(args.file), args.theorem, strategy)]
     else:
         if args.all_orders < 1:
-            print("error: --all-orders needs a positive order", file=sys.stderr)
-            return 2
+            raise ValueError("--all-orders needs a positive order")
         reports = []
         for n in range(1, args.all_orders + 1):
             for sg in enumerate_semigroups(n):

@@ -288,22 +288,27 @@ def _rng_for(semigroup: Semigroup, chain: Chain, seed: int) -> random.Random:
     return random.Random(int.from_bytes(hashlib.sha256(blob).digest()[:8], "big"))
 
 
+# seeded draws; the verifier's sampled strategies call these with one shared rng
+
+def _draws(rng: random.Random, vals: tuple, width: int) -> tuple:
+    return tuple(vals[rng.randrange(len(vals))] for _ in range(width))
+
+
+def _rand_fuzzy(rng: random.Random, sg: Semigroup, chain: Chain) -> FuzzySet:
+    return FuzzySet(sg, _draws(rng, chain.values, sg.order))
+
+
+def _rand_restricted(rng: random.Random, sg: Semigroup, base: int, chain: Chain) -> RestrictedFuzzySet:
+    return RestrictedFuzzySet(sg, base, _draws(rng, chain.values, len(sg._divisor_domains[base])))
+
+
 def random_fuzzy_set(semigroup: Semigroup, chain: Chain, seed: int) -> FuzzySet:
     """A chain-valued fuzzy set determined by (semigroup, chain, seed)."""
-    rng = _rng_for(semigroup, chain, seed)
-    values = chain.values
-    return FuzzySet(semigroup, tuple(
-        values[rng.randrange(len(values))] for _ in range(semigroup.order)
-    ))
+    return _rand_fuzzy(_rng_for(semigroup, chain, seed), semigroup, chain)
 
 
 def random_restricted_set(semigroup: Semigroup, base: Element | str | int,
                           chain: Chain, seed: int) -> RestrictedFuzzySet:
     """A chain-valued restricted fuzzy set determined by its arguments."""
     b = semigroup.element(base).index
-    rng = _rng_for(semigroup, chain, seed + 0x5EED * (b + 1))
-    values = chain.values
-    width = len(semigroup._divisor_domains[b])
-    return RestrictedFuzzySet(semigroup, b, tuple(
-        values[rng.randrange(len(values))] for _ in range(width)
-    ))
+    return _rand_restricted(_rng_for(semigroup, chain, seed + 0x5EED * (b + 1)), semigroup, b, chain)

@@ -44,15 +44,17 @@ from .semigroups import Element, ElementSet, Semigroup
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"\d+(/\d+)?")
+# not \d, which also matches other scripts' digits, and Fraction reads those
+_RATIONAL_RE = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 def parse_value(raw: object) -> Fraction:
     """Parse one membership value; exact forms only.
 
-    Accepts "p/q" strings in any reduction state, the strings "0" and
-    "1", and the integers 0 and 1.  Floats (and float-looking strings)
-    are rejected so that approximate values can never sneak in.
+    Accepts "p/q" strings of ASCII digits in any reduction state, the
+    strings "0" and "1", and the integers 0 and 1.  Floats (and
+    float-looking strings) are rejected so that approximate values can
+    never sneak in.
     """
     if isinstance(raw, bool):
         raise ValueError(f"not a membership value: {raw!r}")

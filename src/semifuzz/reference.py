@@ -37,6 +37,13 @@ def divisor_set(table, a):
     return frozenset(s for s, ideal in enumerate(principal_ideals(table)) if a in ideal)
 
 
+def divisor_sets(table):
+    """D(a) for every a, from one pass over the principal ideals."""
+    ideals = principal_ideals(table)
+    return [frozenset(s for s, ideal in enumerate(ideals) if a in ideal)
+            for a in range(len(table))]
+
+
 def square_set(table):
     return frozenset(v for row in table for v in row)
 

@@ -286,18 +286,16 @@ class Semigroup:
         intersection of principal ideals, which are checked once per
         semigroup, with a raise, when they are first built; the
         core-criterion check cross-validates the result against ideal
-        enumeration.
+        enumeration.  Only order 1 lacks a non-zero element, and there the
+        intersection is the one-element carrier itself.
         """
         zero = self.zero_element()
         zero_idx = -1 if zero is None else zero.index
         acc = frozenset(range(self.order))
-        seen = False
         for s in range(self.order):
-            if s == zero_idx:
-                continue
-            seen = True
-            acc &= self._principal_ideals[s]
-        if not seen or len(acc) < 2:
+            if s != zero_idx:
+                acc &= self._principal_ideals[s]
+        if len(acc) < 2:
             return None
         return ElementSet(self, acc)
 

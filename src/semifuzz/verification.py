@@ -8,7 +8,8 @@ The verifier does not get to indict itself: before a failing case is
 reported, :func:`recheck_counterexample` re-derives the violated
 statement from the raw payload through :mod:`semifuzz.reference`, naive
 code that imports nothing from the package (materialized identity
-adjunction, direct double loops, subset ideal enumeration).  A
+adjunction, direct double loops, subset ideal enumeration up to
+CROSS_VALIDATION_LIMIT elements and the least principal ideal above).  A
 counterexample that does not survive that recheck is a verifier
 inconsistency and raises VerifierInconsistency instead of being reported.
 
@@ -47,7 +48,7 @@ stronger than sampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product, repeat
@@ -57,17 +58,13 @@ from . import reference
 from .decomposition import agrees_on_divisors, extend_by_zero, restrict, subdirect_embed
 from .enumeration import (
     Chain,
+    _draws,
+    _rand_fuzzy,
+    _rand_restricted,
     enumerate_fuzzy_sets,
     enumerate_restricted_sets,
 )
-from .fuzzy import (
-    FuzzySet,
-    RestrictedFuzzySet,
-    ZERO,
-    convolve,
-    embed_element,
-    star_convolve,
-)
+from .fuzzy import FuzzySet, ZERO, convolve, embed_element, star_convolve
 from .semigroups import Semigroup, semigroup_to_json
 
 THEOREMS = (
@@ -83,6 +80,7 @@ THEOREMS = (
 )
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
+# and the recheck finds least ideals among the principal ideals
 CROSS_VALIDATION_LIMIT = 12
 
 # an exhaustive sweep holds its universe and an M x M product table of it;
@@ -140,15 +138,7 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "cases_checked": self.cases_checked,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         tail = f"{self.cases_checked} cases"
@@ -189,19 +179,7 @@ def verify_theorem(semigroup: Semigroup, theorem: str,
 
 
 # ----------------------------------------------------------------------
-# random case generators (sampled strategies share one rng)
-
-def _draws(rng: random.Random, vals: tuple, width: int) -> tuple:
-    return tuple(vals[rng.randrange(len(vals))] for _ in range(width))
-
-
-def _rand_fuzzy(rng: random.Random, sg: Semigroup, chain: Chain) -> FuzzySet:
-    return FuzzySet(sg, _draws(rng, chain.values, sg.order))
-
-
-def _rand_restricted(rng: random.Random, sg: Semigroup, base: int, chain: Chain) -> RestrictedFuzzySet:
-    return RestrictedFuzzySet(sg, base, _draws(rng, chain.values, len(sg._divisor_domains[base])))
-
+# random case generators beyond enumeration's (sampled strategies share one rng)
 
 def _redraw_outside_divisors(rng: random.Random, sg: Semigroup, base: int,
                              f: FuzzySet, chain: Chain) -> FuzzySet:
@@ -305,13 +283,11 @@ def _sweep(rows):
 
 
 # ----------------------------------------------------------------------
-# payloads shared by several checks
+# counterexample payloads
 
-def _separation_failure(f, g, a=None) -> dict:
-    # class-separation at base a, or separation by the whole embedding
-    head = {"property": "separation"} if a is None else {"property": "class-separation",
-                                                         "base": a.name}
-    return {**head, "f": f.as_dict(), "g": g.as_dict()}
+def _payload(head: dict, **sets) -> dict:
+    """The ``head`` fields, then each named set's ``as_dict()`` in argument order."""
+    return {**head, **{name: s.as_dict() for name, s in sets.items()}}
 
 
 def _surjectivity_failure(a, target, has_preimage=None) -> dict | None:
@@ -322,41 +298,8 @@ def _surjectivity_failure(a, target, has_preimage=None) -> dict | None:
     """
     if has_preimage is None:
         has_preimage = restrict(a, extend_by_zero(target)) == target
-    if has_preimage:
-        return None
-    return {"property": "surjectivity", "base": a.name, "target": target.as_dict()}
-
-
-def _star_assoc_payload(f, g, h, lhs, rhs):
-    return {
-        "base": f.base_element.name,
-        "f": f.as_dict(),
-        "g": g.as_dict(),
-        "h": h.as_dict(),
-        "lhs": lhs.as_dict(),
-        "rhs": rhs.as_dict(),
-    }
-
-
-def _delta_payload(a, f1, g1, f2, g2):
-    return {
-        "base": a.name,
-        "f1": f1.as_dict(),
-        "g1": g1.as_dict(),
-        "f2": f2.as_dict(),
-        "g2": g2.as_dict(),
-    }
-
-
-def _hom_payload(a, f, g, lhs, rhs):
-    return {
-        "property": "homomorphism",
-        "base": a.name,
-        "f": f.as_dict(),
-        "g": g.as_dict(),
-        "lhs": lhs.as_dict(),
-        "rhs": rhs.as_dict(),
-    }
+    return None if has_preimage else _payload(
+        {"property": "surjectivity", "base": a.name}, target=target)
 
 
 # ----------------------------------------------------------------------
@@ -374,15 +317,17 @@ def _check_star_assoc(sg, chain, rng, count):
                     # (fg)h against f(gh) for every h at once
                     lhs = table[ij]
                     rhs = list(map(row_i.__getitem__, table[j]))
-                    yield _row(lhs, rhs, lambda k: _star_assoc_payload(
-                        sets[i], sets[j], sets[k], sets[lhs[k]], sets[rhs[k]]))
+                    yield _row(lhs, rhs, lambda k: _payload(
+                        {"base": a.name}, f=sets[i], g=sets[j], h=sets[k],
+                        lhs=sets[lhs[k]], rhs=sets[rhs[k]]))
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
             f, g, h = (_rand_restricted(rng, sg, base, chain) for _ in range(3))
             lhs = star_convolve(star_convolve(f, g), h)
             rhs = star_convolve(f, star_convolve(g, h))
-            yield 1, _star_assoc_payload(f, g, h, lhs, rhs) if lhs != rhs else None
+            yield 1, None if lhs == rhs else _payload(
+                {"base": sg.names[base]}, f=f, g=g, h=h, lhs=lhs, rhs=rhs)
 
 
 @_sweep
@@ -405,8 +350,9 @@ def _check_delta_congruence(sg, chain, rng, count):
                 cells = map(add, map(scaled[f1].__getitem__, lefts),
                             map(table[g1].__getitem__, rights))
                 holds = list(map(agree_flat.__getitem__, cells))
-                yield _row(holds, every, lambda c: _delta_payload(
-                    a, fuzz[f1], fuzz[g1], *map(fuzz.__getitem__, related[c])))
+                yield _row(holds, every, lambda c: _payload(
+                    {"base": a.name}, f1=fuzz[f1], g1=fuzz[g1],
+                    f2=fuzz[lefts[c]], g2=fuzz[rights[c]]))
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
@@ -416,7 +362,7 @@ def _check_delta_congruence(sg, chain, rng, count):
             g1 = _redraw_outside_divisors(rng, sg, base, f1, chain)
             g2 = _redraw_outside_divisors(rng, sg, base, f2, chain)
             holds = agrees_on_divisors(a, convolve(f1, f2), convolve(g1, g2))
-            yield 1, None if holds else _delta_payload(a, f1, g1, f2, g2)
+            yield 1, None if holds else _payload({"base": a.name}, f1=f1, g1=g1, f2=f2, g2=g2)
 
 
 @_sweep
@@ -431,8 +377,8 @@ def _check_quotient_iso(sg, chain, rng, count):
             locate = _Positions(targets).locate
             restricted = [locate(restrict(a, f)) for f in fuzz]
             for i, ri in enumerate(restricted):
-                yield _row(agree[i], list(map(ri.__eq__, restricted)),
-                           lambda k: _separation_failure(fuzz[i], fuzz[k], a))
+                yield _row(agree[i], list(map(ri.__eq__, restricted)), lambda k: _payload(
+                    {"property": "class-separation", "base": a.name}, f=fuzz[i], g=fuzz[k]))
             reached = set(restricted)
             for t, target in enumerate(targets):
                 yield 1, _surjectivity_failure(a, target, t in reached)
@@ -441,8 +387,9 @@ def _check_quotient_iso(sg, chain, rng, count):
                 # restrict(fg) against restrict(f) * restrict(g) for every g at once
                 lhs = list(map(restricted.__getitem__, table[i]))
                 rhs = list(map(star[ri].__getitem__, restricted))
-                yield _row(lhs, rhs, lambda k: _hom_payload(
-                    a, fuzz[i], fuzz[k], targets[lhs[k]], targets[rhs[k]]))
+                yield _row(lhs, rhs, lambda k: _payload(
+                    {"property": "homomorphism", "base": a.name}, f=fuzz[i], g=fuzz[k],
+                    lhs=targets[lhs[k]], rhs=targets[rhs[k]]))
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)
@@ -450,11 +397,13 @@ def _check_quotient_iso(sg, chain, rng, count):
             f = _rand_fuzzy(rng, sg, chain)
             g = _rand_fuzzy(rng, sg, chain)
             separated = agrees_on_divisors(a, f, g) == (restrict(a, f) == restrict(a, g))
-            yield 1, None if separated else _separation_failure(f, g, a)
+            yield 1, None if separated else _payload(
+                {"property": "class-separation", "base": a.name}, f=f, g=g)
             yield 1, _surjectivity_failure(a, _rand_restricted(rng, sg, base, chain))
             lhs = restrict(a, convolve(f, g))
             rhs = star_convolve(restrict(a, f), restrict(a, g))
-            yield 1, _hom_payload(a, f, g, lhs, rhs) if lhs != rhs else None
+            yield 1, None if lhs == rhs else _payload(
+                {"property": "homomorphism", "base": a.name}, f=f, g=g, lhs=lhs, rhs=rhs)
 
 
 @_sweep
@@ -465,8 +414,8 @@ def _check_subdirect(sg, chain, rng, count):
         embeddings = [subdirect_embed(f) for f in fuzz]
         for i, e in enumerate(embeddings):
             distinct = [e != later for later in embeddings[i + 1:]]
-            yield _row(distinct, [True] * len(distinct),
-                       lambda k: _separation_failure(fuzz[i], fuzz[i + 1 + k]))
+            yield _row(distinct, [True] * len(distinct), lambda k: _payload(
+                {"property": "separation"}, f=fuzz[i], g=fuzz[i + 1 + k]))
         for a in sg.elements:
             for target in enumerate_restricted_sets(sg, a, chain):
                 yield 1, _surjectivity_failure(a, target)
@@ -475,7 +424,7 @@ def _check_subdirect(sg, chain, rng, count):
             f = _rand_fuzzy(rng, sg, chain)
             g = _rand_fuzzy(rng, sg, chain)
             separated = f == g or subdirect_embed(f) != subdirect_embed(g)
-            yield 1, None if separated else _separation_failure(f, g)
+            yield 1, None if separated else _payload({"property": "separation"}, f=f, g=g)
             base = rng.randrange(sg.order)
             target = _rand_restricted(rng, sg, base, chain)
             yield 1, _surjectivity_failure(sg.elements[base], target)
@@ -490,13 +439,8 @@ def _check_phi_embedding(sg, chain, rng, count):
         for t in sg.elements:
             lhs = convolve(embeddings[s.index], embeddings[t.index])
             rhs = embeddings[sg.table[s.index][t.index]]
-            yield 1, {
-                "property": "homomorphism",
-                "s": s.name,
-                "t": t.name,
-                "lhs": lhs.as_dict(),
-                "rhs": rhs.as_dict(),
-            } if lhs != rhs else None
+            yield 1, None if lhs == rhs else _payload(
+                {"property": "homomorphism", "s": s.name, "t": t.name}, lhs=lhs, rhs=rhs)
     for s in sg.elements:
         for t in sg.elements[s.index + 1:]:
             yield 1, ({"property": "injectivity", "s": s.name, "t": t.name}
@@ -637,6 +581,12 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
     def divisors(key):
         return reference.divisor_set(table, index(key))
 
+    def least_ideal(min_size):
+        # subset enumeration only where the main path cross-validates with it
+        if n <= CROSS_VALIDATION_LIMIT:
+            return reference.least_ideal(table, min_size)
+        return reference.least_principal_ideal(table, min_size)
+
     prop = payload.get("property")
     if theorem == "star-assoc":
         f, g, h = (values(payload[k]["values"]) for k in "fgh")
@@ -674,8 +624,8 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
         if prop != "separation":
             return False
         f, g = values(payload["f"]), values(payload["g"])
-        return f != g and all(all(f[s] == g[s] for s in reference.divisor_set(table, a))
-                              for a in range(n))
+        return f != g and all(all(f[s] == g[s] for s in domain)
+                              for domain in reference.divisor_sets(table))
     if theorem == "phi-embedding":
         s, t = index("s"), index("t")
         chi_s, chi_t = reference.characteristic(n, s), reference.characteristic(n, t)
@@ -688,7 +638,7 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
         agree = all(chi_s[x] == chi_t[x] for x in domain)
         return agree != (s == t or (s not in domain and t not in domain))
     if theorem == "kernel-criterion":
-        least = reference.least_ideal(table) or frozenset()
+        least = least_ideal(1) or frozenset()
         if prop == "cross-validation":
             return {sg.names[i] for i in least} != set(payload["kernel"])
         return (len(divisors("element")) == n) != (index("element") in least)
@@ -698,7 +648,7 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
         if prop == "zero-element":
             zero = reference.zero_of(table)
             return zero is not None and len(reference.divisor_set(table, zero)) != n
-        least = reference.least_ideal(table, 2)
+        least = least_ideal(2)
         if prop == "cross-validation":
             expected = None if least is None else sorted(sg.names[i] for i in least)
             return payload["core"] != expected

@@ -1,9 +1,12 @@
 """The command-line surface: verbs, formats, and the exit-code contract."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semifuzz as sf
 from semifuzz import cli, verification
@@ -116,6 +119,14 @@ class TestConvolve:
         f = write("f.json", {"0": 0.5, "a": "1"})
         code, _, err = run(capsys, "convolve", sg, f, f)
         assert code == 2 and "floating point" in err
+
+    @pytest.mark.parametrize("half", ["\u0661/\u0662", "\uff11/\uff12"])
+    def test_non_ascii_digits_rejected(self, write, capsys, half):
+        sg = write("null2.json", NULL2)
+        f = write("f.json", {"0": half, "a": "1"})
+        code, out, err = run(capsys, "convolve", sg, f, f)
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed membership value") and err.count("\n") == 1
 
 
 class TestStar:
@@ -243,6 +254,17 @@ class TestVerify:
         code, _, _ = run(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--theorem", "star-assoc", "--chain", "1"),
+         "give exactly one of FILE or --all-orders"),
+        (("verify", "x.json", "--theorem", "star-assoc", "--chain", "1", "--seed", "3"),
+         "--seed only makes sense with --sampled"),
+        (("verify", "--all-orders", "0", "--theorem", "star-assoc", "--chain", "1"),
+         "--all-orders needs a positive order"),
+    ])
+    def test_usage_errors_print_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_invalid_chain_resolution(self, write, capsys):
         sg = write("null2.json", NULL2)
         code, _, err = run(capsys, "verify", sg, "--theorem", "star-assoc", "--chain", "0")
@@ -299,3 +321,64 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# Fuzzed input files: arbitrary bytes, arbitrary JSON values, and objects
+# shaped like the three formats (a semigroup, a fuzzy set, a restricted
+# fuzzy set) whose fields are fuzzed, so that many files get past the
+# parsers' first type checks.  Names and values mix arbitrary text with
+# MONO31's element names and well-formed membership values.
+_NAMES = st.sampled_from(["c", "c2", "c3"]) | st.text(max_size=3)
+_VALUES = st.sampled_from(["0", "1", "1/2", "2/3", "0/0", "3/2"]) | st.integers(-1, 2)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | _NAMES | _VALUES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=4),
+    max_leaves=16,
+)
+_FUZZY = st.fixed_dictionaries({name: _VALUES | JSON_VALUES for name in ("c", "c2", "c3")},
+                               optional={"": _VALUES})
+SHAPED = st.one_of(
+    st.fixed_dictionaries({
+        "elements": st.lists(_NAMES, max_size=3) | JSON_VALUES,
+        "table": st.lists(st.lists(_NAMES | JSON_VALUES, max_size=3), max_size=3) | JSON_VALUES,
+    }),
+    st.fixed_dictionaries({"base": _NAMES | JSON_VALUES, "values": _FUZZY | JSON_VALUES}),
+    _FUZZY,
+)
+FILE_CONTENTS = st.binary(max_size=64) | (JSON_VALUES | SHAPED).map(lambda v: json.dumps(v).encode())
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"sg": MONO31, "f": {"c": "1/3", "c2": "1", "c3": "0"},
+             "rf": {"base": "c2", "values": {"c": "1/3", "c2": "4/5"}}}
+    for name, obj in files.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(root / f"{name}.json") for name in (*files, "fuzzed")}
+
+
+class TestFuzzedFiles:
+    """Any file content, in the semigroup or the fuzzy-set role, gives exit
+    0 or 2; an exit 2 prints one error line and no traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(content=FILE_CONTENTS)
+    def test_exit_code_contract(self, fuzz_files, content):
+        sg, f, rf, fz = (fuzz_files[k] for k in ("sg", "f", "rf", "fuzzed"))
+        with open(fz, "wb") as handle:
+            handle.write(content)
+        for argv in (
+            ["analyze", fz],
+            ["convolve", fz, f, f], ["convolve", sg, fz, f],
+            ["decompose", fz, f], ["decompose", sg, fz],
+            ["star", fz, "-a", "c2", rf, rf], ["star", sg, "-a", "c2", fz, rf],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error: "), argv
+                assert err.getvalue().count("\n") == 1, argv

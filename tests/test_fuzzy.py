@@ -37,6 +37,12 @@ class TestValues:
         with pytest.raises(ValueError):
             sf.parse_value(raw)
 
+    @pytest.mark.parametrize("raw", ["\u0661/\u0662", "\uff11/\uff12", "\u0661", "1/\u0662"])
+    def test_non_ascii_digits_rejected(self, raw):
+        # Arabic-Indic and fullwidth digits: Fraction would read them as 1/2
+        with pytest.raises(ValueError, match="malformed"):
+            sf.parse_value(raw)
+
     @pytest.mark.parametrize("raw", ["1\n", " 1", "1 ", "1/2\n", "\t0"])
     def test_surrounding_whitespace_rejected(self, raw):
         with pytest.raises(ValueError, match="malformed"):

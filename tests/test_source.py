@@ -1,5 +1,6 @@
-"""Source-level properties of the package: no library ``assert``, and a
-reference module that stands apart from the package it checks."""
+"""Source-level properties of the package: no library ``assert``, a
+reference module that stands apart from the package it checks, and demo
+scripts that run."""
 
 import ast
 import os
@@ -11,6 +12,7 @@ import semifuzz as sf
 
 PACKAGE = Path(sf.__file__).parent
 REFERENCE = PACKAGE / "reference.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_library_asserts():
@@ -48,3 +50,20 @@ def test_reference_loads_by_path_without_the_package():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_demos_run():
+    # the README sends users to these scripts; run each as they would, all at once
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    procs = {demo.name: subprocess.Popen([sys.executable, str(demo)], env=env, cwd=ROOT,
+                                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                         text=True)
+             for demo in demos}
+    failed = {}
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        if proc.returncode != 0:
+            failed[name] = err
+    assert failed == {}

@@ -612,3 +612,47 @@ class TestRecheck:
     def test_unknown_theorem_recheck(self, null2):
         with pytest.raises(ValueError, match="unknown theorem"):
             sf.recheck_counterexample(null2, "nope", {})
+
+
+class TestPolynomialRecheck:
+    """Above CROSS_VALIDATION_LIMIT the recheck reads principal ideals, never
+    subset enumeration, which would visit 2**40 subsets on the 40-element
+    closure and hang instead of reporting a library fault."""
+
+    @pytest.fixture(autouse=True)
+    def no_subset_enumeration(self, monkeypatch):
+        def refuse(table):
+            pytest.fail(f"subset enumeration over 2**{len(table)} subsets")
+        monkeypatch.setattr(oracles, "all_ideals", refuse)
+
+    @pytest.fixture(scope="class")
+    def closure40(self):
+        return sf.transformation_closure([(1, 2, 3, 0), (0, 0, 0, 3)])
+
+    @pytest.mark.parametrize("method, theorem", [
+        ("kernel", "kernel-criterion"), ("core", "core-criterion"),
+    ])
+    def test_planted_fault_is_an_inconsistency(self, closure40, method, theorem, monkeypatch):
+        assert closure40.order > verification.CROSS_VALIDATION_LIMIT
+        real = getattr(sf.Semigroup, method)
+        # one element of the true kernel or core goes missing
+        monkeypatch.setattr(sf.Semigroup, method,
+                            lambda sg: sg.subset(sorted(real(sg).names())[1:]))
+        with pytest.raises(sf.VerifierInconsistency, match="failed its independent recheck"):
+            sf.verify_theorem(closure40, theorem, sf.Exhaustive(sf.make_chain(1)))
+
+    def test_subdirect_separation_reads_divisor_sets_in_one_pass(self, mono31, monkeypatch):
+        calls = []
+        real = oracles.principal_ideals
+        monkeypatch.setattr(oracles, "principal_ideals", lambda table: calls.append(1) or real(table))
+        # f and g differ only at c3, which lies in the divisor set of c3 alone,
+        # the last base a per-base recheck would read
+        payload = {"property": "separation",
+                   "f": {"c": "0", "c2": "0", "c3": "1"}, "g": {"c": "0", "c2": "0", "c3": "0"}}
+        assert not sf.recheck_counterexample(mono31, "subdirect", payload)
+        assert len(calls) == 1
+
+    def test_divisor_sets_match_divisor_set(self, small_semigroups):
+        for sg in small_semigroups:
+            assert oracles.divisor_sets(sg.table) == [
+                oracles.divisor_set(sg.table, a) for a in range(sg.order)]
