@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .decomposition import subdirect_embed
 from .enumeration import catalog, enumerate_semigroups, make_chain
@@ -32,7 +33,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, and reused: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="semifuzz",
         description="Finite semigroup structure, fuzzy-set convolution, and decomposition checks.",

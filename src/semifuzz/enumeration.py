@@ -61,8 +61,8 @@ class Chain:
 
 def make_chain(k: int) -> Chain:
     """The uniform chain {0, 1/k, 2/k, ..., 1}."""
-    if k < 1:
-        raise ValueError("chain resolution must be a positive integer")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"chain resolution must be a positive integer, got {k!r}")
     return Chain(tuple(Fraction(i, k) for i in range(k + 1)))
 
 
@@ -300,6 +300,13 @@ def _rand_fuzzy(rng: random.Random, sg: Semigroup, chain: Chain) -> FuzzySet:
 
 def _rand_restricted(rng: random.Random, sg: Semigroup, base: int, chain: Chain) -> RestrictedFuzzySet:
     return RestrictedFuzzySet(sg, base, _draws(rng, chain.values, len(sg._divisor_domains[base])))
+
+
+def _rand_related(rng: random.Random, sg: Semigroup, base: int, f: FuzzySet, chain: Chain) -> FuzzySet:
+    # f's values on the divisor set of base, fresh draws elsewhere: related to f by construction
+    divisors = sg._divisor_sets[base]
+    fresh = iter(_draws(rng, chain.values, sg.order - len(divisors)))
+    return FuzzySet(sg, tuple(v if i in divisors else next(fresh) for i, v in enumerate(f.values)))
 
 
 def random_fuzzy_set(semigroup: Semigroup, chain: Chain, seed: int) -> FuzzySet:

@@ -117,16 +117,29 @@ def fuzzy_set(semigroup: Semigroup, values: Mapping[object, object] | Callable[[
     """
     if callable(values) and not isinstance(values, Mapping):
         return FuzzySet(semigroup, tuple(parse_value(values(e)) for e in semigroup.elements))
+    return FuzzySet(semigroup, _values_on(semigroup, None, values))
+
+
+def _values_on(semigroup: Semigroup, base: int | None, values: Mapping) -> tuple[Fraction, ...]:
+    """Parse a mapping that must cover the domain exactly, in domain order.
+
+    The domain is the carrier when ``base`` is None, else the divisor set
+    of ``base``.
+    """
+    domain = range(semigroup.order) if base is None else semigroup._divisor_positions[base]
     out: dict[int, Fraction] = {}
     for key, raw in values.items():
         idx = semigroup.element(key).index
+        if idx not in domain:
+            raise ValueError(f"{semigroup.names[idx]!r} is not a divisor of {semigroup.names[base]!r}")
         if idx in out:
             raise ValueError(f"element {semigroup.names[idx]!r} assigned twice")
         out[idx] = parse_value(raw)
-    missing = [semigroup.names[i] for i in range(semigroup.order) if i not in out]
+    missing = [semigroup.names[i] for i in domain if i not in out]
     if missing:
-        raise ValueError(f"fuzzy set is missing values for: {', '.join(missing)}")
-    return FuzzySet(semigroup, tuple(out[i] for i in range(semigroup.order)))
+        what = "fuzzy set is missing values for" if base is None else "missing values for divisors"
+        raise ValueError(f"{what}: {', '.join(missing)}")
+    return tuple(out[i] for i in domain)
 
 
 def constant(semigroup: Semigroup, value: object) -> FuzzySet:
@@ -151,8 +164,7 @@ def embed_element(semigroup: Semigroup, s: Element | str | int) -> FuzzySet:
     This map is an injective homomorphism: embedding s and t and
     convolving gives the embedding of s*t.
     """
-    idx = semigroup.element(s).index
-    return FuzzySet(semigroup, tuple(ONE if i == idx else ZERO for i in range(semigroup.order)))
+    return characteristic(semigroup.subset([s]))
 
 
 def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
@@ -300,20 +312,7 @@ def restricted_fuzzy_set(semigroup: Semigroup, base: Element | str | int,
                          values: Mapping[object, object]) -> RestrictedFuzzySet:
     """Build a restricted fuzzy set; must cover the divisor set of base exactly."""
     b = semigroup.element(base).index
-    domain = semigroup._divisor_domains[b]
-    positions = semigroup._divisor_positions[b]
-    out: dict[int, Fraction] = {}
-    for key, raw in values.items():
-        idx = semigroup.element(key).index
-        if idx not in positions:
-            raise ValueError(f"{semigroup.names[idx]!r} is not a divisor of {semigroup.names[b]!r}")
-        if idx in out:
-            raise ValueError(f"element {semigroup.names[idx]!r} assigned twice")
-        out[idx] = parse_value(raw)
-    missing = [semigroup.names[i] for i in domain if i not in out]
-    if missing:
-        raise ValueError(f"missing values for divisors: {', '.join(missing)}")
-    return RestrictedFuzzySet(semigroup, b, tuple(out[i] for i in domain))
+    return RestrictedFuzzySet(semigroup, b, _values_on(semigroup, b, values))
 
 
 def star_convolve(f: RestrictedFuzzySet, g: RestrictedFuzzySet) -> RestrictedFuzzySet:

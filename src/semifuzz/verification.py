@@ -52,7 +52,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product, repeat
-from operator import add
 
 from . import reference
 from .decomposition import agrees_on_divisors, extend_by_zero, restrict, subdirect_embed
@@ -60,24 +59,13 @@ from .enumeration import (
     Chain,
     _draws,
     _rand_fuzzy,
+    _rand_related,
     _rand_restricted,
     enumerate_fuzzy_sets,
     enumerate_restricted_sets,
 )
-from .fuzzy import FuzzySet, ZERO, convolve, embed_element, star_convolve
+from .fuzzy import ZERO, convolve, embed_element, star_convolve
 from .semigroups import Semigroup, semigroup_to_json
-
-THEOREMS = (
-    "star-assoc",
-    "delta-congruence",
-    "quotient-iso",
-    "subdirect",
-    "phi-embedding",
-    "restriction-rees",
-    "kernel-criterion",
-    "core-criterion",
-    "distributivity",
-)
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
 # and the recheck finds least ideals among the principal ideals
@@ -119,8 +107,10 @@ class Sampled:
     def __post_init__(self):
         if not isinstance(self.chain, Chain):
             raise TypeError(f"not a chain: {self.chain!r}")
-        if self.count < 1:
-            raise ValueError("sample count must be a positive integer")
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"sample count must be a positive integer, got {self.count!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"sample seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -176,20 +166,6 @@ def verify_theorem(semigroup: Semigroup, theorem: str,
         cases_checked=checked,
         counterexample=payload,
     )
-
-
-# ----------------------------------------------------------------------
-# random case generators beyond enumeration's (sampled strategies share one rng)
-
-def _redraw_outside_divisors(rng: random.Random, sg: Semigroup, base: int,
-                             f: FuzzySet, chain: Chain) -> FuzzySet:
-    # same values on the divisor set, fresh draws elsewhere: related by construction
-    vals = chain.values
-    divisors = sg._divisor_sets[base]
-    return FuzzySet(sg, tuple(
-        v if i in divisors else vals[rng.randrange(len(vals))]
-        for i, v in enumerate(f.values)
-    ))
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +266,10 @@ def _payload(head: dict, **sets) -> dict:
     return {**head, **{name: s.as_dict() for name, s in sets.items()}}
 
 
-def _surjectivity_failure(a, target, has_preimage=None) -> dict | None:
-    """The surjectivity payload, or None when ``target`` has a preimage.
-
-    Without a verdict from the caller, the preimage tried is the
-    extension of ``target`` by zero.
-    """
-    if has_preimage is None:
-        has_preimage = restrict(a, extend_by_zero(target)) == target
-    return None if has_preimage else _payload(
+def _surjectivity_failure(a, target) -> dict | None:
+    """The surjectivity payload, or None when the extension of ``target``
+    by zero restricts back to it."""
+    return None if restrict(a, extend_by_zero(target)) == target else _payload(
         {"property": "surjectivity", "base": a.name}, target=target)
 
 
@@ -335,21 +306,18 @@ def _check_delta_congruence(sg, chain, rng, count):
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
-        size = len(fuzz)
         table = _product_table(fuzz, convolve)
-        scaled = [[size * p for p in row] for row in table]
         for a in sg.elements:
             agree = _agreement_matrix(a, fuzz)
-            agree_flat = [ok for row in agree for ok in row]
             related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
             lefts = [i for i, _ in related]
             rights = [j for _, j in related]
             every = [True] * len(related)
             for f1, g1 in related:
-                # (f1 f2, g1 g2) for every related (f2, g2), as flat matrix positions
-                cells = map(add, map(scaled[f1].__getitem__, lefts),
-                            map(table[g1].__getitem__, rights))
-                holds = list(map(agree_flat.__getitem__, cells))
+                # agree[f1 f2][g1 g2] for every related (f2, g2)
+                holds = list(map(list.__getitem__,
+                                 map(agree.__getitem__, map(table[f1].__getitem__, lefts)),
+                                 map(table[g1].__getitem__, rights)))
                 yield _row(holds, every, lambda c: _payload(
                     {"base": a.name}, f1=fuzz[f1], g1=fuzz[g1],
                     f2=fuzz[lefts[c]], g2=fuzz[rights[c]]))
@@ -359,8 +327,8 @@ def _check_delta_congruence(sg, chain, rng, count):
             a = sg.elements[base]
             f1 = _rand_fuzzy(rng, sg, chain)
             f2 = _rand_fuzzy(rng, sg, chain)
-            g1 = _redraw_outside_divisors(rng, sg, base, f1, chain)
-            g2 = _redraw_outside_divisors(rng, sg, base, f2, chain)
+            g1 = _rand_related(rng, sg, base, f1, chain)
+            g2 = _rand_related(rng, sg, base, f2, chain)
             holds = agrees_on_divisors(a, convolve(f1, f2), convolve(g1, g2))
             yield 1, None if holds else _payload({"base": a.name}, f1=f1, g1=g1, f2=f2, g2=g2)
 
@@ -379,9 +347,8 @@ def _check_quotient_iso(sg, chain, rng, count):
             for i, ri in enumerate(restricted):
                 yield _row(agree[i], list(map(ri.__eq__, restricted)), lambda k: _payload(
                     {"property": "class-separation", "base": a.name}, f=fuzz[i], g=fuzz[k]))
-            reached = set(restricted)
-            for t, target in enumerate(targets):
-                yield 1, _surjectivity_failure(a, target, t in reached)
+            for target in targets:
+                yield 1, _surjectivity_failure(a, target)
             star = _product_table(targets, star_convolve)
             for i, ri in enumerate(restricted):
                 # restrict(fg) against restrict(f) * restrict(g) for every g at once
@@ -467,16 +434,26 @@ def _check_restriction_rees(sg, chain, rng, count):
             })
 
 
+def _cross_validation(sg, min_size, name, got, oracle):
+    """The row that checks ``got``, an ElementSet or None, against the least
+    ideal of at least ``min_size`` elements found by subset enumeration;
+    empty above CROSS_VALIDATION_LIMIT."""
+    if sg.order > CROSS_VALIDATION_LIMIT:
+        return
+    found = None if got is None else got.indices
+    expected = reference.least_ideal(sg.table, min_size)
+
+    def names(ideal):
+        return None if ideal is None else sorted(sg.names[i] for i in ideal)
+
+    yield 1, None if found == expected else {
+        "property": "cross-validation", name: names(found), oracle: names(expected)}
+
+
 @_sweep
 def _check_kernel_criterion(sg, chain, rng, count):
     kernel = sg.kernel()
-    if sg.order <= CROSS_VALIDATION_LIMIT:
-        expected = reference.least_ideal(sg.table)
-        yield 1, {
-            "property": "cross-validation",
-            "kernel": sorted(kernel.names()),
-            "least_ideal": sorted(sg.names[i] for i in expected or ()),
-        } if kernel.indices != expected else None
+    yield from _cross_validation(sg, 1, "kernel", kernel, "least_ideal")
     for a in sg.elements:
         divisors, _ = sg.divisor_partition(a)
         yield 1, {
@@ -498,15 +475,7 @@ def _check_core_criterion(sg, chain, rng, count):
     if zero is not None:
         _, rest = sg.divisor_partition(zero)
         yield 1, {"property": "zero-element", "nondivisors": sorted(rest.names())} if rest else None
-    if sg.order <= CROSS_VALIDATION_LIMIT:
-        expected = reference.least_ideal(sg.table, 2)
-        got = None if core is None else core.indices
-        yield 1, {
-            "property": "cross-validation",
-            "core": None if core is None else sorted(core.names()),
-            "least_nontrivial_ideal":
-                None if expected is None else sorted(sg.names[i] for i in expected),
-        } if got != expected else None
+    yield from _cross_validation(sg, 2, "core", core, "least_nontrivial_ideal")
     for a in sg.elements:
         if zero is not None and a == zero:
             continue
@@ -555,6 +524,8 @@ _CHECKERS = {
     "core-criterion": _check_core_criterion,
     "distributivity": _check_distributivity,
 }
+
+THEOREMS = tuple(_CHECKERS)
 
 
 # ----------------------------------------------------------------------

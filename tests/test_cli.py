@@ -1,7 +1,11 @@
 """The command-line surface: verbs, formats, and the exit-code contract."""
 
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -321,6 +325,29 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        first = run(capsys, "verify", "--help")
+        built = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(1) or real(self, *args, **kwargs))
+        assert run(capsys, "verify", "--help") == first
+        assert run(capsys, "catalog", "null", "2")[0] == 0
+        assert built == []
+
+    def test_parser_is_not_built_at_import(self):
+        script = "import semifuzz.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sf.__file__))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    def test_no_state_leaks_between_calls(self, write, capsys):
+        verify = ("verify", write("null2.json", NULL2), "--theorem", "distributivity", "--chain", "1")
+        assert run(capsys, *verify, "--sampled", "3", "--seed", "2")[0] == 0
+        assert run(capsys, *verify, "--seed", "2") == (
+            2, "", "error: --seed only makes sense with --sampled\n")
 
 
 # Fuzzed input files: arbitrary bytes, arbitrary JSON values, and objects

@@ -1,5 +1,6 @@
 """Chains, streams, catalog families, closure, and seeded randomness."""
 
+import re
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,11 @@ class TestChains:
     def test_zero_resolution_rejected(self):
         with pytest.raises(ValueError):
             sf.make_chain(0)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2", None])
+    def test_non_integer_resolution_rejected(self, k):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(k))}$"):
+            sf.make_chain(k)
 
     def test_chain_of_sorts_and_dedupes(self):
         chain = sf.chain_of(["1", "1/2", "0", "2/4"])

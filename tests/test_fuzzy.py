@@ -93,6 +93,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="missing"):
             sf.restricted_fuzzy_set(mono31, "c2", {"c": "0"})
 
+    def test_mapping_errors_name_the_element(self, null2, mono31):
+        # one parser serves both constructors; each keeps its own wording
+        with pytest.raises(ValueError, match="^fuzzy set is missing values for: a$"):
+            sf.fuzzy_set(null2, {"0": "1/2"})
+        with pytest.raises(ValueError, match="^missing values for divisors: c2$"):
+            sf.restricted_fuzzy_set(mono31, "c2", {"c": "0"})
+        with pytest.raises(ValueError, match="^'c3' is not a divisor of 'c2'$"):
+            sf.restricted_fuzzy_set(mono31, "c2", {"c3": "0"})
+        with pytest.raises(ValueError, match="^element 'a' assigned twice$"):
+            sf.fuzzy_set(null2, {"a": "0", 1: "1", "0": "0"})
+        with pytest.raises(ValueError, match="^element 'c' assigned twice$"):
+            sf.restricted_fuzzy_set(mono31, "c2", {"c": "0", 0: "1", "c2": "0"})
+
+    def test_embed_element_is_the_characteristic_of_a_singleton(self, mono31):
+        for e in mono31.elements:
+            assert sf.embed_element(mono31, e.name) == sf.characteristic(mono31.subset([e]))
+        assert sf.embed_element(mono31, "c2").as_dict() == {"c": "0", "c2": "1", "c3": "0"}
+
     def test_restricted_json_round_trip(self, mono31):
         fs = sf.restricted_fuzzy_set(mono31, "c2", {"c": "1/3", "c2": "1"})
         assert sf.restricted_from_json(mono31, fs.as_dict()) == fs

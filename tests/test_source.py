@@ -3,6 +3,7 @@ reference module that stands apart from the package it checks, and demo
 scripts that run."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -67,3 +68,35 @@ def test_demos_run():
         if proc.returncode != 0:
             failed[name] = err
     assert failed == {}
+
+
+def load_codelines():
+    spec = importlib.util.spec_from_file_location("codelines", ROOT / "tools" / "codelines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CODELINES_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os
+
+
+def join(x):
+    """Function docstring."""
+    # a comment line
+    return os.path.join(  # a trailing comment
+        x,
+        "y")
+'''
+
+
+def test_code_line_rule(tmp_path, capsys):
+    codelines = load_codelines()
+    # import, def, and the three lines of the call
+    assert codelines.code_lines(CODELINES_SNIPPET) == 5
+    path = tmp_path / "snippet.py"
+    path.write_text(CODELINES_SNIPPET)
+    assert codelines.main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out.split() == ["5", "snippet.py", "5", "snippet.py", "10", "total"]

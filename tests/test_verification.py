@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,6 +39,15 @@ class TestStrategyAndDispatch:
     def test_sample_count_must_be_positive(self, chain2):
         with pytest.raises(ValueError, match="positive"):
             sf.Sampled(chain2, 0)
+
+    @pytest.mark.parametrize("count, seed, bad", [
+        (1.5, 0, "count"), (True, 0, "count"), ("3", 0, "count"),
+        (2, "x", "seed"), (2, 1.0, "seed"), (2, False, "seed"), (2, None, "seed"),
+    ])
+    def test_sample_count_and_seed_must_be_integers(self, chain2, count, seed, bad):
+        value = count if bad == "count" else seed
+        with pytest.raises(ValueError, match=f"sample {bad} .*got {re.escape(repr(value))}$"):
+            sf.Sampled(chain2, count, seed)
 
     def test_strategy_type_checked(self, null2, chain2):
         with pytest.raises(TypeError):
@@ -124,12 +134,12 @@ class TestCaseCounts:
 # chosen input pair must be caught at the same case, with the same
 # payload, as by the case-by-case loops written out below
 
-def wrong_on(real, bad_f, bad_g):
-    """``real``, except that the product of bad_f and bad_g has its first
-    value moved between 0 and 1, which keeps it chain-valued."""
-    def kernel(f, g):
-        out = real(f, g)
-        if f == bad_f and g == bad_g:
+def wrong_on(real, *bad):
+    """``real``, except that its result on the arguments ``bad`` has its
+    first value moved between 0 and 1, which keeps it chain-valued."""
+    def kernel(*args):
+        out = real(*args)
+        if args == bad:
             first = Fraction(0) if out.values[0] == 1 else Fraction(1)
             out = dataclasses.replace(out, values=(first,) + out.values[1:])
         return out
@@ -188,7 +198,7 @@ def loop_delta_congruence(sg, chain, conv):
     return checked, None
 
 
-def loop_quotient_iso(sg, chain, conv, star, agree):
+def loop_quotient_iso(sg, chain, conv, star, agree, extend=sf.extend_by_zero):
     fuzz = list(sf.enumerate_fuzzy_sets(sg, chain))
     checked = 0
     for a in sg.elements:
@@ -201,7 +211,12 @@ def loop_quotient_iso(sg, chain, conv, star, agree):
                 if agree(a, f, g) != (rf.values == rg.values):
                     return checked, {"property": "class-separation", "base": a.name,
                                      "f": f.as_dict(), "g": g.as_dict()}
-        checked += len(chain) ** len(domain)  # surjectivity holds by construction
+        for target in sf.enumerate_restricted_sets(sg, a, chain):
+            checked += 1
+            extended = extend(target)
+            if tuple(extended.values[s] for s in domain) != target.values:
+                return checked, {"property": "surjectivity", "base": a.name,
+                                 "target": target.as_dict()}
         for f, rf in zip(fuzz, restrictions):
             for g, rg in zip(fuzz, restrictions):
                 checked += 1
@@ -291,6 +306,18 @@ class TestPlantedFaults:
         monkeypatch.setattr(verification, "agrees_on_divisors", agree)
         expected = loop_quotient_iso(mono31, self.CHAIN, sf.convolve, sf.star_convolve, agree)
         assert expected[1]["property"] == "class-separation"
+        self.assert_caught(mono31, "quotient-iso", expected)
+
+    @pytest.mark.parametrize("bad", [0, 2, 3])
+    def test_quotient_iso_surjectivity(self, mono31, bad, monkeypatch, confirm_everything):
+        # D(c2) = {c, c2}, so moving the extension's value at c breaks its restriction
+        target = list(sf.enumerate_restricted_sets(mono31, "c2", self.CHAIN))[bad]
+        extend = wrong_on(sf.extend_by_zero, target)
+        monkeypatch.setattr(verification, "extend_by_zero", extend)
+        expected = loop_quotient_iso(mono31, self.CHAIN, sf.convolve, sf.star_convolve,
+                                     sf.agrees_on_divisors, extend)
+        assert expected[1] == {"property": "surjectivity", "base": "c2",
+                               "target": target.as_dict()}
         self.assert_caught(mono31, "quotient-iso", expected)
 
     @pytest.mark.parametrize("sg_name, bad", [

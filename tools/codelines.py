@@ -1,0 +1,47 @@
+"""Count code lines in Python files.
+
+A line counts when it holds a token other than a comment.  Blank lines,
+comment-only lines and docstrings (the string statement that opens a
+module, class or function body) do not count.
+
+    python3 tools/codelines.py [FILE ...]    # default: src/semifuzz/*.py
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+        tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, BODIES) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in SKIP:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def main(argv: list[str]) -> int:
+    root = Path(__file__).resolve().parent.parent
+    paths = [Path(p) for p in argv] or sorted((root / "src" / "semifuzz").glob("*.py"))
+    total = 0
+    for path in paths:
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
