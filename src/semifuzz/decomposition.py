@@ -53,11 +53,10 @@ def extend_by_zero(f: RestrictedFuzzySet) -> FuzzySet:
     every restricted fuzzy set reachable from a full one.
     """
     sg = f.semigroup
-    positions = sg._divisor_positions[f.base]
-    fv = f.values
-    return FuzzySet(sg, tuple(
-        fv[positions[s]] if s in positions else ZERO for s in range(sg.order)
-    ))
+    values = [ZERO] * sg.order
+    for s, v in zip(sg._divisor_domains[f.base], f.values):
+        values[s] = v
+    return FuzzySet(sg, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,17 @@ class Chain:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.values:
+        # parse_value rejects floats and bools and returns a Fraction as is
+        values = tuple(map(parse_value, self.values))
+        if not values:
             raise ValueError("a chain needs at least the endpoints")
-        if self.values[0] != ZERO or self.values[-1] != ONE:
+        if values[0] != ZERO or values[-1] != ONE:
             raise ValueError("a chain must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("chain values must be strictly increasing")
         # the kernel's own 0 and 1 objects, so that its results keep the
         # identity of chain values (see verification._Positions)
-        object.__setattr__(self, "values", (ZERO, *self.values[1:-1], ONE))
+        object.__setattr__(self, "values", (ZERO, *values[1:-1], ONE))
 
     def __iter__(self):
         return iter(self.values)

@@ -126,11 +126,11 @@ def _values_on(semigroup: Semigroup, base: int | None, values: Mapping) -> tuple
     The domain is the carrier when ``base`` is None, else the divisor set
     of ``base``.
     """
-    domain = range(semigroup.order) if base is None else semigroup._divisor_positions[base]
+    domain = range(semigroup.order) if base is None else semigroup._divisor_domains[base]
     out: dict[int, Fraction] = {}
     for key, raw in values.items():
         idx = semigroup.element(key).index
-        if idx not in domain:
+        if base is not None and idx not in semigroup._divisor_sets[base]:
             raise ValueError(f"{semigroup.names[idx]!r} is not a divisor of {semigroup.names[base]!r}")
         if idx in out:
             raise ValueError(f"element {semigroup.names[idx]!r} assigned twice")
@@ -290,11 +290,11 @@ class RestrictedFuzzySet:
 
     def __call__(self, ref: Element | str | int) -> Fraction:
         idx = self.semigroup.element(ref).index
-        pos = self.semigroup._divisor_positions[self.base].get(idx)
-        if pos is None:
+        try:
+            return self.values[self.semigroup._divisor_domains[self.base].index(idx)]
+        except ValueError:
             raise ValueError(f"{self.semigroup.names[idx]!r} is not a divisor of "
-                             f"{self.semigroup.names[self.base]!r}")
-        return self.values[pos]
+                             f"{self.semigroup.names[self.base]!r}") from None
 
     def __mul__(self, other: RestrictedFuzzySet) -> RestrictedFuzzySet:
         return star_convolve(self, other)

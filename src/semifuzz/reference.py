@@ -4,11 +4,14 @@ Everything here works on raw index tables (sequences of rows of ints)
 and plain dicts keyed by element index, and imports only the standard
 library: loading this file by path does not import the package.  The
 verifier's independent recheck of counterexamples and the test suite's
-cross-checks both go through it.  Deliberate route differences from the
-library: the adjoined identity is materialized here (the library never
-builds it), ideals come from full subset enumeration, and the
-convolutions scan every factor pair instead of reusing factorization
-lists or value ranks.
+cross-checks both go through it.  The library itself reads two scans
+here: the witness of a rejected table comes from
+``first_nonassociative_triple``, called only once Light's test has
+failed, and ``ElementSet.is_ideal`` is ``is_ideal``.  Deliberate route
+differences from the library: the adjoined identity is materialized
+here (the library never builds it), ideals come from full subset
+enumeration, and the convolutions scan every factor pair instead of
+reusing factorization lists or value ranks.
 """
 
 from fractions import Fraction

@@ -26,6 +26,8 @@ from itertools import compress
 from operator import and_, itemgetter, or_
 from typing import Iterator, Sequence
 
+from . import reference
+
 
 class AssociativityError(ValueError):
     """Raised when a proposed table violates (x*y)*z == x*(y*z).
@@ -226,10 +228,6 @@ class Semigroup:
         return tuple(itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
                      for dom in self._divisor_domains)
 
-    @cached_property
-    def _divisor_positions(self) -> tuple[dict[int, int], ...]:
-        return tuple({s: k for k, s in enumerate(dom)} for dom in self._divisor_domains)
-
     def divisor_partition(self, a: Element | str | int) -> tuple[ElementSet, ElementSet]:
         """Split the carrier into the divisors of a and the rest.
 
@@ -354,16 +352,7 @@ class ElementSet:
 
     def is_ideal(self) -> bool:
         """True iff nonempty and closed under multiplication by the whole carrier."""
-        if not self.indices:
-            return False
-        table = self.semigroup.table
-        members = self.indices
-        n = self.semigroup.order
-        return all(
-            table[s][x] in members and table[x][s] in members
-            for s in members
-            for x in range(n)
-        )
+        return reference.is_ideal(self.semigroup.table, self.indices)
 
 
 @dataclass(frozen=True)
@@ -428,21 +417,10 @@ def _mask_members(mask: int, n: int) -> frozenset[int]:
     return frozenset(compress(range(n), f"{mask:0{n}b}"[::-1].encode().translate(_DIGIT_BYTES)))
 
 
-def _find_nonassociative_triple(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    n = len(table)
-    for x in range(n):
-        for y in range(n):
-            xy = table[x][y]
-            for z in range(n):
-                if table[xy][z] != table[x][table[y][z]]:
-                    return x, y, z
-    return None
-
-
 def _associativity_error(names: Sequence[str], table: Sequence[Sequence[int]]) -> AssociativityError:
     # names the first violating triple in row-major order; only called on
     # tables already known not to be associative
-    x, y, z = _find_nonassociative_triple(table)
+    x, y, z = reference.first_nonassociative_triple(table)
     nx, ny, nz = names[x], names[y], names[z]
     lhs = names[table[table[x][y]][z]]
     rhs = names[table[x][table[y][z]]]

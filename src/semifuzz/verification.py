@@ -8,10 +8,12 @@ The verifier does not get to indict itself: before a failing case is
 reported, :func:`recheck_counterexample` re-derives the violated
 statement from the raw payload through :mod:`semifuzz.reference`, naive
 code that imports nothing from the package (materialized identity
-adjunction, direct double loops, subset ideal enumeration up to
-CROSS_VALIDATION_LIMIT elements and the least principal ideal above).  A
-counterexample that does not survive that recheck is a verifier
-inconsistency and raises VerifierInconsistency instead of being reported.
+adjunction, direct double loops, and least ideals found among the
+principal ideals at every order).  A counterexample that does not
+survive that recheck is a verifier inconsistency and raises
+VerifierInconsistency instead of being reported.  Subset ideal
+enumeration, exponential in the order, serves only the kernel and core
+cross-validations, up to CROSS_VALIDATION_LIMIT elements.
 
 Each check is a generator of rows of cases that one driver,
 :func:`_sweep`, folds into ``(cases_checked, payload)``: a row reports
@@ -68,7 +70,6 @@ from .fuzzy import ZERO, convolve, embed_element, star_convolve
 from .semigroups import Semigroup, semigroup_to_json
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
-# and the recheck finds least ideals among the principal ideals
 CROSS_VALIDATION_LIMIT = 12
 
 # an exhaustive sweep holds its universe and an M x M product table of it;
@@ -552,12 +553,6 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
     def divisors(key):
         return reference.divisor_set(table, index(key))
 
-    def least_ideal(min_size):
-        # subset enumeration only where the main path cross-validates with it
-        if n <= CROSS_VALIDATION_LIMIT:
-            return reference.least_ideal(table, min_size)
-        return reference.least_principal_ideal(table, min_size)
-
     prop = payload.get("property")
     if theorem == "star-assoc":
         f, g, h = (values(payload[k]["values"]) for k in "fgh")
@@ -609,7 +604,7 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
         agree = all(chi_s[x] == chi_t[x] for x in domain)
         return agree != (s == t or (s not in domain and t not in domain))
     if theorem == "kernel-criterion":
-        least = least_ideal(1) or frozenset()
+        least = reference.least_principal_ideal(table, 1) or frozenset()
         if prop == "cross-validation":
             return {sg.names[i] for i in least} != set(payload["kernel"])
         return (len(divisors("element")) == n) != (index("element") in least)
@@ -619,7 +614,7 @@ def recheck_counterexample(sg: Semigroup, theorem: str, payload: dict) -> bool:
         if prop == "zero-element":
             zero = reference.zero_of(table)
             return zero is not None and len(reference.divisor_set(table, zero)) != n
-        least = least_ideal(2)
+        least = reference.least_principal_ideal(table, 2)
         if prop == "cross-validation":
             expected = None if least is None else sorted(sg.names[i] for i in least)
             return payload["core"] != expected

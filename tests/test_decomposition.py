@@ -36,20 +36,29 @@ class TestAgreement:
 
 class TestAgainstOracleDivisorSets:
     """restrict and agrees_on_divisors read the divisor set through one
-    cached gather per base; check both at every base of every semigroup
-    of order <= 3, one-element divisor sets included."""
+    cached gather per base, and extend_by_zero and a restricted set's
+    lookup through the sorted divisor domain; check them at every base of
+    every semigroup of order <= 3, one-element divisor sets included."""
 
     def test_restrict(self, small_semigroups):
         chain = sf.make_chain(2)
         singletons = 0
         for seed, sg in enumerate(small_semigroups):
             f = sf.random_fuzzy_set(sg, chain, seed)
-            for a in range(sg.order):
-                domain = sorted(oracles.divisor_set(sg.table, a))
+            for a, divisors in enumerate(oracles.divisor_sets(sg.table)):
+                domain = sorted(divisors)
                 singletons += len(domain) == 1
                 out = sf.restrict(a, f)
                 assert type(out.values) is tuple
                 assert out.values == tuple(f.values[s] for s in domain)
+                assert sf.extend_by_zero(out).values == tuple(
+                    f.values[s] if s in divisors else 0 for s in range(sg.order))
+                for s in range(sg.order):
+                    if s in divisors:
+                        assert out(s) == f.values[s]
+                    else:
+                        with pytest.raises(ValueError, match="is not a divisor of"):
+                            out(s)
         assert singletons > 0
 
     def test_agrees_on_divisors(self, small_semigroups):

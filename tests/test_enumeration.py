@@ -31,6 +31,20 @@ class TestChains:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(k))}$"):
             sf.make_chain(k)
 
+    @pytest.mark.parametrize("values", [
+        (Fraction(0), 0.5, Fraction(1)),
+        (0.0, Fraction(1, 2), Fraction(1)),
+        (Fraction(0), True),
+        (False, Fraction(1)),
+    ])
+    def test_float_and_bool_values_rejected(self, values):
+        with pytest.raises(ValueError, match="floating point|not a membership value"):
+            sf.Chain(values)
+
+    def test_inner_values_keep_their_identity(self):
+        half = Fraction(1, 2)
+        assert sf.Chain((Fraction(0), half, Fraction(1))).values[1] is half
+
     def test_chain_of_sorts_and_dedupes(self):
         chain = sf.chain_of(["1", "1/2", "0", "2/4"])
         assert chain == sf.make_chain(2)

@@ -10,7 +10,7 @@ import pytest
 
 from semifuzz import reference as oracles
 import semifuzz as sf
-from semifuzz.semigroups import _find_nonassociative_triple, _generators
+from semifuzz.semigroups import _generators
 
 CLOSURE_40 = [(1, 2, 3, 0), (0, 0, 0, 3)]
 CLOSURE_128 = [(1, 2, 3, 0), (0, 0, 2, 3)]
@@ -87,7 +87,6 @@ class TestBuild:
         accepted = 0
         for table in all_order3_tables():
             expected = oracles.first_nonassociative_triple(table)
-            assert _find_nonassociative_triple(table) == expected
             assert verdict(ABC, table) == expected, table
             accepted += expected is None
         assert accepted == 113

@@ -100,3 +100,8 @@ def test_code_line_rule(tmp_path, capsys):
     path.write_text(CODELINES_SNIPPET)
     assert codelines.main([str(path), str(path)]) == 0
     assert capsys.readouterr().out.split() == ["5", "snippet.py", "5", "snippet.py", "10", "total"]
+    # a directory stands for its *.py files, in sorted order
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text(CODELINES_SNIPPET)
+    assert codelines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["1", "a.py", "5", "snippet.py", "6", "total"]

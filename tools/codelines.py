@@ -4,7 +4,9 @@ A line counts when it holds a token other than a comment.  Blank lines,
 comment-only lines and docstrings (the string statement that opens a
 module, class or function body) do not count.
 
-    python3 tools/codelines.py [FILE ...]    # default: src/semifuzz/*.py
+    python3 tools/codelines.py [PATH ...]    # default: src/semifuzz
+
+A directory stands for its ``*.py`` files, in sorted order.
 """
 
 import ast
@@ -33,7 +35,9 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(__file__).resolve().parent.parent
-    paths = [Path(p) for p in argv] or sorted((root / "src" / "semifuzz").glob("*.py"))
+    paths = []
+    for arg in map(Path, argv or [root / "src" / "semifuzz"]):
+        paths.extend(sorted(arg.glob("*.py")) if arg.is_dir() else [arg])
     total = 0
     for path in paths:
         count = code_lines(path.read_text())
