@@ -262,6 +262,9 @@ def transformation_closure(generators: Sequence[Sequence[int]]) -> Semigroup:
     """
     if not generators:
         raise ValueError("need at least one generator map")
+    for gen in generators:
+        if not isinstance(gen, Sequence) or any(isinstance(v, bool) or not isinstance(v, int) for v in gen):
+            raise ValueError(f"generator {gen!r} is not a sequence of integer images")
     degree = len(generators[0])
     maps: set[tuple[int, ...]] = set()
     for gen in generators:
@@ -293,7 +296,20 @@ def _rng_for(semigroup: Semigroup, chain: Chain, seed: int) -> random.Random:
 # seeded draws; the verifier's sampled strategies call these with one shared rng
 
 def _draws(rng: random.Random, vals: tuple, width: int) -> tuple:
-    return tuple(vals[rng.randrange(len(vals))] for _ in range(width))
+    # vals[rng.randrange(len(vals))], width times: the same rejection
+    # sampling on getrandbits, so the same picks from the same bits,
+    # without randrange's argument handling on every draw
+    n = len(vals)
+    if not n and width:
+        raise ValueError("no values to draw from")
+    bits, getrandbits = n.bit_length(), rng.getrandbits
+    picks = []
+    for _ in range(width):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        picks.append(vals[r])
+    return tuple(picks)
 
 
 def _rand_fuzzy(rng: random.Random, sg: Semigroup, chain: Chain) -> FuzzySet:
@@ -311,13 +327,20 @@ def _rand_related(rng: random.Random, sg: Semigroup, base: int, f: FuzzySet, cha
     return FuzzySet(sg, tuple(v if i in divisors else next(fresh) for i, v in enumerate(f.values)))
 
 
+def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def random_fuzzy_set(semigroup: Semigroup, chain: Chain, seed: int) -> FuzzySet:
     """A chain-valued fuzzy set determined by (semigroup, chain, seed)."""
+    _check_seed(seed)
     return _rand_fuzzy(_rng_for(semigroup, chain, seed), semigroup, chain)
 
 
 def random_restricted_set(semigroup: Semigroup, base: Element | str | int,
                           chain: Chain, seed: int) -> RestrictedFuzzySet:
     """A chain-valued restricted fuzzy set determined by its arguments."""
+    _check_seed(seed)
     b = semigroup.element(base).index
     return _rand_restricted(_rng_for(semigroup, chain, seed + 0x5EED * (b + 1)), semigroup, b, chain)

@@ -27,7 +27,10 @@ exactly: a pending target has no factor pair admitted at a higher level,
 so any pair that reaches it now has a factor of this level, and its min
 is this level's value.  The sweep stops once every target with a
 factorization is reached; the rest stay 0.  Results reuse the operands'
-value objects, so they are exact.
+value objects, so they are exact.  Push reads products through one
+C-level gather per level and side, over the other side's admitted
+factors, and the direction test keeps the pending targets' factor-pair
+count as a running total instead of summing it again on every level.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from itertools import compress
 from math import lcm
 from typing import Callable, Mapping
 
-from .semigroups import Element, ElementSet, Semigroup
+from .semigroups import Element, ElementSet, Semigroup, _gather
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -177,9 +180,13 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     targets that now have a factor pair with both factors admitted, in
     whichever direction visits fewer pairs.  Push pairs each new factor
     with the other side's admitted factors, |new_x|*|seen_y| +
-    |seen_x + new_x|*|new_y| pairs.  Pull tests the factor pairs of each
-    pending target (``Semigroup._fibers``) against admitted-factor sets,
-    and on its first use also counts the factors it puts in those sets.
+    |seen_x + new_x|*|new_y| pairs: one itemgetter over seen_y reads the
+    row of each new x, and one over seen_x the column of each new y.
+    Pull tests the factor pairs of each pending target
+    (``Semigroup._fibers``) against admitted-factor sets, and on its first
+    use also counts the factors it puts in those sets.  Its pair count is
+    summed over the pending targets on the first level that reads it, and
+    then reduced by the sizes of each level's hits, so it stays that sum.
     Both find the same targets: a pending target has no factor pair
     admitted before this level, so a pair that reaches it now has a new
     factor, and its min is this level's value.
@@ -208,6 +215,7 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     seen_x: list[int] = []
     seen_y: list[int] = []
     in_x = in_y = None  # admitted-factor sets, built when pull first wins
+    pairs = None  # the pending targets' factor-pair count, once a level reads it
     for key, _, value, new_x, new_y in ranked:
         if key <= 0 or not pending:
             break
@@ -219,7 +227,9 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
             setup = 0 if in_x is not None else len(seen_x) + len(new_x) + len(seen_y) + len(new_y)
             if push > len(pending) + setup:
                 lefts, rights, sizes = sg._fibers
-                pulling = sum(map(sizes.__getitem__, pending)) + setup < push
+                if pairs is None:
+                    pairs = sum(map(sizes.__getitem__, pending))
+                pulling = pairs + setup < push
         if pulling:
             if in_x is None:
                 in_x, in_y = set(seen_x), set(seen_y)
@@ -231,13 +241,16 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
             seen_y += new_y
         else:
             hit = set()
-            if seen_y:
+            if new_x and seen_y:
+                gather = _gather(seen_y)
                 for x in new_x:
-                    hit.update(map(rows[x].__getitem__, seen_y))
+                    hit.update(gather(rows[x]))
             seen_x += new_x
             seen_y += new_y
-            for y in new_y:
-                hit.update(map(cols[y].__getitem__, seen_x))
+            if new_y and seen_x:
+                gather = _gather(seen_x)
+                for y in new_y:
+                    hit.update(gather(cols[y]))
             hit &= pending
             if in_x is not None:
                 in_x.update(new_x)
@@ -245,6 +258,8 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
         for t in hit:
             found[t] = value
         pending -= hit
+        if pairs is not None:
+            pairs -= sum(map(sizes.__getitem__, hit))
     return tuple([found.get(s, ZERO) for s in domain])
 
 

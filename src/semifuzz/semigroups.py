@@ -129,14 +129,16 @@ class Semigroup:
         return ElementSet(self, frozenset(i for i in range(self.order) if self._factorizations[i]))
 
     @cached_property
-    def _fibers(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    def _fibers(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], list[int]]:
         # per target index: its left factors, its right factors (parallel,
         # so x*y == target for each aligned pair) and their count; the
-        # sup-min kernel pulls from these once few targets are pending
+        # sup-min kernel pulls from these once few targets are pending.
+        # The counts are a list, whose __getitem__ the kernel maps faster
+        # than a tuple's
         facs = self._factorizations
         lefts = tuple(tuple(map(itemgetter(0), f)) for f in facs)
         rights = tuple(tuple(map(itemgetter(1), f)) for f in facs)
-        return lefts, rights, tuple(map(len, facs))
+        return lefts, rights, list(map(len, facs))
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -223,10 +225,8 @@ class Semigroup:
 
     @cached_property
     def _divisor_gathers(self) -> tuple:
-        # per base, one C-level gather of the divisor-set values from a
-        # carrier-aligned tuple; a slice keeps a one-element result a tuple
-        return tuple(itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
-                     for dom in self._divisor_domains)
+        # per base, one gather of the divisor-set values from a carrier-aligned tuple
+        return tuple(map(_gather, self._divisor_domains))
 
     def divisor_partition(self, a: Element | str | int) -> tuple[ElementSet, ElementSet]:
         """Split the carrier into the divisors of a and the rest.
@@ -409,6 +409,14 @@ class ElementRelation:
 
 
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _gather(indices: Sequence[int]) -> itemgetter:
+    # one C-level read of these positions, as a tuple; a slice keeps a
+    # single position's result a tuple
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1))
 
 
 def _mask_members(mask: int, n: int) -> frozenset[int]:

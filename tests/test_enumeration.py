@@ -1,5 +1,6 @@
 """Chains, streams, catalog families, closure, and seeded randomness."""
 
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from semifuzz import reference as oracles
 import semifuzz as sf
+from semifuzz.enumeration import _draws
 from semifuzz.fuzzy import ONE, ZERO
 
 
@@ -222,6 +224,12 @@ class TestTransformationClosure:
         with pytest.raises(ValueError, match="self-map"):
             sf.transformation_closure([(0, 5)])
 
+    @pytest.mark.parametrize("generators", [[(0.0, 1)], ["10"], [5], [(True, False)],
+                                            [(0, 1), (1, None)], [(0, 1), {0: 1, 1: 0}]])
+    def test_malformed_generators(self, generators):
+        with pytest.raises(ValueError, match=re.escape(repr(generators[-1]))):
+            sf.transformation_closure(generators)
+
 
 class TestSeededRandomness:
     def test_fuzzy_set_deterministic(self, mono31):
@@ -237,6 +245,25 @@ class TestSeededRandomness:
         chain = sf.make_chain(2)
         draws = {sf.random_fuzzy_set(mono31, chain, seed) for seed in range(30)}
         assert len(draws) > 1
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, mono31, seed):
+        chain = sf.make_chain(2)
+        with pytest.raises(ValueError, match=re.escape(repr(seed))):
+            sf.random_fuzzy_set(mono31, chain, seed)
+        with pytest.raises(ValueError, match=re.escape(repr(seed))):
+            sf.random_restricted_set(mono31, "c2", chain, seed)
+
+    def test_draws_are_randrange_picks(self):
+        # the same picks and the same generator state after, for 1 to 39
+        # values, every width from 1 to 128, and a seed of its own each
+        for n in range(1, 40):
+            vals = tuple(Fraction(i, n) for i in range(n))
+            for width in range(1, 129):
+                ours, theirs = random.Random(1000 * n + width), random.Random(1000 * n + width)
+                picks = tuple(vals[theirs.randrange(len(vals))] for _ in range(width))
+                assert _draws(ours, vals, width) == picks
+                assert ours.getstate() == theirs.getstate()
 
     def test_restricted_deterministic(self, mono31):
         chain = sf.make_chain(2)

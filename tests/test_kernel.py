@@ -9,8 +9,8 @@ The kernel settles each level by pushing new factors or by pulling from
 the factor pairs of pending targets, whichever visits fewer pairs.  Pull
 wins once few targets are pending on a wide carrier, as on the late
 levels of the 40- and 128-element closures at chain 16, so those are
-checked too, and a planted fault in the factor pairs the pull reads
-must show in the product.
+checked too.  A planted fault in the factor pairs the pull reads, or
+in the rows or columns the push reads, must show in the product.
 """
 
 import random
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semifuzz import reference as oracles
-from semifuzz.fuzzy import ZERO
+from semifuzz.fuzzy import ONE, ZERO
 import semifuzz as sf
 
 
@@ -194,6 +194,26 @@ def test_pull_reads_the_fibers():
     assert sf.convolve(f, g)(t) == half
     corrupted = tuple(() if u == t else fiber for u, fiber in enumerate(lefts))
     sg.__dict__["_fibers"] = (corrupted, rights, sizes)
+    assert sf.convolve(f, g)(t) == 0
+
+
+@pytest.mark.parametrize("f_value, read", [(ONE, "_columns"), (Fraction(1, 2), "table")])
+def test_push_reads_the_table(f_value, read):
+    # g is 1 everywhere.  With f = 1 too (the same object, so one level)
+    # the only level admits every factor on both sides and pushes the
+    # columns of the new right factors; with f = 1/2 the first level
+    # admits only right factors and the second pushes the rows of the new
+    # left factors.  Either push visits n * n pairs, fewer than the n * n
+    # factor pairs of the targets plus the flags pull would set.  A target
+    # planted out of what the push reads must lose its value.
+    sg = sf.transformation_closure(GENERATORS_128)
+    n = sg.order
+    f, g = sf.constant(sg, f_value), sf.constant(sg, ONE)
+    t = next(u for u, size in enumerate(sg._fibers[2]) if size)
+    assert sf.convolve(f, g)(t) == f_value
+    stand_in = (t + 1) % n
+    sg.__dict__[read] = tuple(tuple(stand_in if u == t else u for u in line)
+                              for line in getattr(sg, read))
     assert sf.convolve(f, g)(t) == 0
 
 
