@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -163,6 +164,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("give exactly one of FILE or --all-orders")
     if args.seed is not None and args.sampled is None:
         raise ValueError("--seed only makes sense with --sampled")
+    if args.json:
+        _probe_writable(args.json)
     chain = make_chain(args.chain)
     if args.sampled is not None:
         strategy = Sampled(chain, args.sampled, 0 if args.seed is None else args.seed)
@@ -194,6 +197,19 @@ def _cmd_verify(args) -> int:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     return 1 if failures else 0
+
+
+def _probe_writable(path: str) -> None:
+    """Raise, before any work, the OSError that writing ``path`` would.
+
+    The file is opened for appending, which leaves an existing file as
+    it is; one that this probe created is removed again.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_enumerate(args) -> int:

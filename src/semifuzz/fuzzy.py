@@ -31,6 +31,15 @@ value objects, so they are exact.  Push reads products through one
 C-level gather per level and side, over the other side's admitted
 factors, and the direction test keeps the pending targets' factor-pair
 count as a running total instead of summing it again on every level.
+
+The kernel has two entries that share the ranking and the level loop.
+A single product groups both operands by value object into one map.
+The verifier's exhaustive product tables take every ordered pair of a
+universe at once (``convolve_rows``, ``star_convolve_rows``): each member
+is grouped once and the universe's values are ranked once, so a pair
+only merges its two members' groupings.  Neither entry collects or
+ranks the kernel's own 0, which is every chain's 0: a level of value 0
+would settle nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .semigroups import Element, ElementSet, Semigroup, _gather
 
@@ -170,16 +179,32 @@ def embed_element(semigroup: Semigroup, s: Element | str | int) -> FuzzySet:
     return characteristic(semigroup.subset([s]))
 
 
-def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
-    """max over t = xy of min(fv(x), gv(y)) at every t of a product domain.
+def _ranked(holders: dict[int, tuple]) -> list[tuple]:
+    """``(key, id, value, xs, ys)`` for each ``id: (value, xs, ys)`` of
+    ``holders``, highest value first.
 
-    The domain is the carrier when ``base`` is None, else the divisor set
-    of ``base``; fv, gv and the result align with it.
+    The key is the value over the values' common denominator, an exact
+    integer; equal values held by distinct objects are ordered by id, so
+    a ranking of any subset of these objects orders it the same way.
+    """
+    scale = lcm(*[h[0].denominator for h in holders.values()])
+    return sorted([(v.numerator * (scale // v.denominator), i, v, xs, ys)
+                   for i, (v, xs, ys) in holders.items()], reverse=True)
 
-    Each level admits the holders of one value and settles the pending
-    targets that now have a factor pair with both factors admitted, in
-    whichever direction visits fewer pairs.  Push pairs each new factor
-    with the other side's admitted factors, |new_x|*|seen_y| +
+
+def _settle(sg: Semigroup, domain, targets, levels) -> tuple[Fraction, ...]:
+    """max over t = xy of min(f(x), g(y)) at every t of ``domain``.
+
+    ``levels`` holds ``(key, id, value, new_x, new_y)`` for each distinct
+    value object of f and g, ranked as by ``_ranked``: the domain elements
+    where f, and where g, holds that object.  A level of value 0 would
+    settle nothing, so the sweep stops there.  ``targets`` are the
+    elements of the domain that have a factorization.
+
+    Each level admits its holders and settles the pending targets that
+    now have a factor pair with both factors admitted, in whichever
+    direction visits fewer pairs.  Push pairs each new factor with the
+    other side's admitted factors, |new_x|*|seen_y| +
     |seen_x + new_x|*|new_y| pairs: one itemgetter over seen_y reads the
     row of each new x, and one over seen_x the column of each new y.
     Pull tests the factor pairs of each pending target
@@ -191,24 +216,6 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     admitted before this level, so a pair that reaches it now has a new
     factor, and its min is this level's value.
     """
-    domain, targets = sg._sup_min_plan(base)
-    if not targets:
-        return (ZERO,) * len(domain)
-    # each distinct value object, with the domain elements holding it in f and in g
-    holders: dict[int, tuple[Fraction, list[int], list[int]]] = {}
-    for s, v in zip(domain, fv):
-        h = holders.get(id(v))
-        if h is None:
-            h = holders[id(v)] = (v, [], [])
-        h[1].append(s)
-    for s, v in zip(domain, gv):
-        h = holders.get(id(v))
-        if h is None:
-            h = holders[id(v)] = (v, [], [])
-        h[2].append(s)
-    scale = lcm(*[h[0].denominator for h in holders.values()])
-    ranked = sorted([(v.numerator * (scale // v.denominator), i, v, xs, ys)
-                     for i, (v, xs, ys) in holders.items()], reverse=True)
     pending = set(targets)
     found: dict[int, Fraction] = {}
     rows, cols = sg.table, sg._columns
@@ -216,7 +223,7 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     seen_y: list[int] = []
     in_x = in_y = None  # admitted-factor sets, built when pull first wins
     pairs = None  # the pending targets' factor-pair count, once a level reads it
-    for key, _, value, new_x, new_y in ranked:
+    for key, _, value, new_x, new_y in levels:
         if key <= 0 or not pending:
             break
         push = len(new_x) * len(seen_y) + (len(seen_x) + len(new_x)) * len(new_y)
@@ -263,6 +270,75 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     return tuple([found.get(s, ZERO) for s in domain])
 
 
+def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
+    """max over t = xy of min(fv(x), gv(y)) at every t of a product domain.
+
+    The domain is the carrier when ``base`` is None, else the divisor set
+    of ``base``; fv, gv and the result align with it.  Both operands are
+    grouped by value object into one map, whose entries are then ranked
+    and settled by :func:`_settle`.
+    """
+    domain, targets = sg._sup_min_plan(base)
+    if not targets:
+        return (ZERO,) * len(domain)
+    # each distinct value object but the kernel's 0, with the domain
+    # elements holding it in f and in g
+    holders: dict[int, tuple[Fraction, list[int], list[int]]] = {}
+    for s, v in zip(domain, fv):
+        if v is not ZERO:
+            h = holders.get(id(v))
+            if h is None:
+                h = holders[id(v)] = (v, [], [])
+            h[1].append(s)
+    for s, v in zip(domain, gv):
+        if v is not ZERO:
+            h = holders.get(id(v))
+            if h is None:
+                h = holders[id(v)] = (v, [], [])
+            h[2].append(s)
+    return _settle(sg, domain, targets, _ranked(holders))
+
+
+def _sup_min_rows(sg: Semigroup, base: int | None, family) -> Iterator[list[tuple[Fraction, ...]]]:
+    """``_sup_min`` of every ordered pair of ``family``, one row at a time.
+
+    ``family`` is a sequence of value tuples on the domain of ``base``;
+    row i is ``[_sup_min(sg, base, family[i], g) for g in family]``, with
+    the same values and value objects.  Each member's domain elements are
+    grouped by value object once, and the family's value objects are
+    ranked once.  A pair's levels are then the ranks its two members
+    hold, so its cost depends on their distinct values only, not on the
+    family's.  A row is settled when it is taken.
+    """
+    domain, targets = sg._sup_min_plan(base)
+    # each distinct value object but the kernel's 0, held for ranking
+    # like a pair's holders but with no holders of its own
+    distinct: dict[int, tuple] = {}
+    groups = []
+    for values in family:
+        held: dict[int, list[int]] = {}
+        for s, v in zip(domain, values):
+            if v is not ZERO:
+                xs = held.get(id(v))
+                if xs is None:
+                    xs = held[id(v)] = []
+                    distinct[id(v)] = (v, (), ())
+                xs.append(s)
+        groups.append(held)
+    ranked = _ranked(distinct)
+    key_of = [level[0] for level in ranked]
+    value_of = [level[2] for level in ranked]
+    rank = {level[1]: r for r, level in enumerate(ranked)}
+    # per member: rank -> the domain elements holding that value object
+    members = [{rank[i]: xs for i, xs in held.items()} for held in groups]
+    for f in members:
+        ranks = f.keys()
+        yield [_settle(sg, domain, targets,
+                       [(key_of[r], r, value_of[r], f.get(r, ()), g.get(r, ()))
+                        for r in sorted(ranks | g.keys())])
+               for g in members]
+
+
 def convolve(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     """Sup-min convolution: (f*g)(s) = max over s=xy of min(f(x), g(y)).
 
@@ -272,6 +348,21 @@ def convolve(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     if g.semigroup is not sg and g.semigroup != sg:
         raise ValueError("cannot convolve fuzzy sets over different semigroups")
     return FuzzySet(sg, _sup_min(sg, None, f.values, g.values))
+
+
+def convolve_rows(universe: Sequence[FuzzySet]) -> Iterator[list[FuzzySet]]:
+    """``[convolve(f, g) for g in universe]`` for each f of ``universe`` in turn.
+
+    The products of every ordered pair, through one batched kernel pass
+    (see ``_sup_min_rows``); each row is settled when it is taken.
+    """
+    if not universe:
+        return
+    sg = universe[0].semigroup
+    if any(u.semigroup is not sg and u.semigroup != sg for u in universe):
+        raise ValueError("cannot convolve fuzzy sets over different semigroups")
+    for row in _sup_min_rows(sg, None, [u.values for u in universe]):
+        yield [FuzzySet(sg, values) for values in row]
 
 
 @dataclass(frozen=True)
@@ -341,6 +432,21 @@ def star_convolve(f: RestrictedFuzzySet, g: RestrictedFuzzySet) -> RestrictedFuz
     if g.base != f.base or (g.semigroup is not sg and g.semigroup != sg):
         raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
     return RestrictedFuzzySet(sg, f.base, _sup_min(sg, f.base, f.values, g.values))
+
+
+def star_convolve_rows(universe: Sequence[RestrictedFuzzySet]) -> Iterator[list[RestrictedFuzzySet]]:
+    """``[star_convolve(f, g) for g in universe]`` for each f of ``universe`` in turn.
+
+    The products of every ordered pair, through one batched kernel pass
+    (see ``_sup_min_rows``); each row is settled when it is taken.
+    """
+    if not universe:
+        return
+    sg, base = universe[0].semigroup, universe[0].base
+    if any(u.base != base or (u.semigroup is not sg and u.semigroup != sg) for u in universe):
+        raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
+    for row in _sup_min_rows(sg, base, [u.values for u in universe]):
+        yield [RestrictedFuzzySet(sg, base, values) for values in row]
 
 
 def fuzzy_set_from_json(semigroup: Semigroup, obj: object) -> FuzzySet:

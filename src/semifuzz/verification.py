@@ -25,8 +25,11 @@ chain; the chain contains 0 and 1 and is closed under min and max, so
 all equalities are exact within the enumerated universe.  That closure
 also means every product of two members of a universe is again a
 member.  So the star-associativity, delta-congruence and quotient-iso
-sweeps first compute an integer product table: the real kernel runs
-once per ordered pair, and each result is mapped back to its position
+sweeps first compute an integer product table: the real kernel settles
+each ordered pair once, in one batched pass over the universe
+(``convolve_rows`` or ``star_convolve_rows``: each member is grouped by
+value object and the universe's values are ranked once, the kernel's
+own 0 left out of both), and each result is mapped back to its position
 in the universe.  That lookup goes by the identities of the result's
 value objects, which the kernel takes from its operands (or is its own
 0, every chain's 0); the universe stays alive for the whole sweep, so
@@ -66,7 +69,7 @@ from .enumeration import (
     enumerate_fuzzy_sets,
     enumerate_restricted_sets,
 )
-from .fuzzy import ZERO, convolve, embed_element, star_convolve
+from .fuzzy import ZERO, convolve, convolve_rows, embed_element, star_convolve, star_convolve_rows
 from .semigroups import Semigroup, semigroup_to_json
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
@@ -213,15 +216,16 @@ class _Positions:
         return i
 
 
-def _product_table(universe, op) -> list[list[int]]:
-    """``table[i][j]`` is the position in ``universe`` of ``op(universe[i], universe[j])``.
+def _product_table(universe, rows) -> list[list[int]]:
+    """``table[i][j]`` is the position in ``universe`` of the product of
+    ``universe[i]`` and ``universe[j]``, row i of ``rows(universe)``.
 
     The universe is closed under the product (a chain holding 0 is
     closed under min and max), so every result must be found; one that
     is not is a verifier inconsistency and raises VerifierInconsistency.
     """
     locate = _Positions(universe).locate
-    return [[locate(op(u, v)) for v in universe] for u in universe]
+    return [list(map(locate, row)) for row in rows(universe)]
 
 
 def _agreement_matrix(a, universe) -> list[list[bool]]:
@@ -283,7 +287,7 @@ def _check_star_assoc(sg, chain, rng, count):
         _require_small_universe(chain, max(map(len, sg._divisor_domains)))
         for a in sg.elements:
             sets = list(enumerate_restricted_sets(sg, a, chain))
-            table = _product_table(sets, star_convolve)
+            table = _product_table(sets, star_convolve_rows)
             for i, row_i in enumerate(table):
                 for j, ij in enumerate(row_i):
                     # (fg)h against f(gh) for every h at once
@@ -307,7 +311,7 @@ def _check_delta_congruence(sg, chain, rng, count):
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
-        table = _product_table(fuzz, convolve)
+        table = _product_table(fuzz, convolve_rows)
         for a in sg.elements:
             agree = _agreement_matrix(a, fuzz)
             related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
@@ -339,7 +343,7 @@ def _check_quotient_iso(sg, chain, rng, count):
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
-        table = _product_table(fuzz, convolve)
+        table = _product_table(fuzz, convolve_rows)
         for a in sg.elements:
             agree = _agreement_matrix(a, fuzz)
             targets = list(enumerate_restricted_sets(sg, a, chain))
@@ -350,7 +354,7 @@ def _check_quotient_iso(sg, chain, rng, count):
                     {"property": "class-separation", "base": a.name}, f=fuzz[i], g=fuzz[k]))
             for target in targets:
                 yield 1, _surjectivity_failure(a, target)
-            star = _product_table(targets, star_convolve)
+            star = _product_table(targets, star_convolve_rows)
             for i, ri in enumerate(restricted):
                 # restrict(fg) against restrict(f) * restrict(g) for every g at once
                 lhs = list(map(restricted.__getitem__, table[i]))
@@ -364,12 +368,13 @@ def _check_quotient_iso(sg, chain, rng, count):
             a = sg.elements[base]
             f = _rand_fuzzy(rng, sg, chain)
             g = _rand_fuzzy(rng, sg, chain)
-            separated = agrees_on_divisors(a, f, g) == (restrict(a, f) == restrict(a, g))
+            rf, rg = restrict(a, f), restrict(a, g)
+            separated = agrees_on_divisors(a, f, g) == (rf == rg)
             yield 1, None if separated else _payload(
                 {"property": "class-separation", "base": a.name}, f=f, g=g)
             yield 1, _surjectivity_failure(a, _rand_restricted(rng, sg, base, chain))
             lhs = restrict(a, convolve(f, g))
-            rhs = star_convolve(restrict(a, f), restrict(a, g))
+            rhs = star_convolve(rf, rg)
             yield 1, None if lhs == rhs else _payload(
                 {"property": "homomorphism", "base": a.name}, f=f, g=g, lhs=lhs, rhs=rhs)
 

@@ -51,3 +51,19 @@ def catalog_roster():
     roster.append(sf.catalog("full_transformation", 1))
     roster.append(sf.catalog("full_transformation", 2))
     return roster
+
+
+@pytest.fixture(scope="session")
+def rows_of():
+    """Turn a per-pair kernel into a rows function like ``convolve_rows``.
+
+    Row i holds ``kernel(universe[i], g)`` for every g of the universe, so
+    a fault planted in the kernel reaches the exhaustive product tables
+    exactly as the per-pair kernel would produce it.
+    """
+    def rows_of(kernel):
+        def rows(universe):
+            for f in universe:
+                yield [kernel(f, g) for g in universe]
+        return rows
+    return rows_of

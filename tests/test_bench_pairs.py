@@ -25,8 +25,8 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 '''
 
 SPEC = {"workloads": [{"name": "small"}, {"name": "wide"}],
-        "end_to_end": [{"name": "wall_s", "better": "lower"},
-                       {"name": "cases_per_s", "better": "higher"}]}
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2},
+                       {"name": "cases_per_s", "better": "higher", "bound": 0.2}]}
 
 
 def load_bench_pairs():
@@ -61,8 +61,14 @@ def test_alternating_pairs_against_a_stub(tmp_path, capsys):
     assert small["pairs"]["cases_per_s"] == {"change_better_pairs": 3, "pairs": 3, "ratio": 1.198}
     assert small["pairs"]["wall_s"]["change_better_pairs"] == 3
     assert len(small["before"]["elapsed_s"]["per_seed"]) == 3
+    assert small["before"]["elapsed_s"]["max"] == max(small["before"]["elapsed_s"]["per_seed"])
+    rule = small["gain_rule"]["cases_per_s"]
+    assert rule["median_diff"] == 20 and rule["bound"] == 0.2 and rule["verdict"] == "gain"
+    assert rule["parent_iqr"] == pytest.approx(1)
+    assert small["gain_rule"]["wall_s"]["verdict"] == "gain"
     text = capsys.readouterr().out
     assert "small (3 pairs)" in text and "1.1980  3/3" in text and "elapsed_s" in text
+    assert "gain" in text and "elapsed_s max" in text
 
 
 def test_a_run_without_a_result_line_stops_the_tool(tmp_path):
@@ -73,3 +79,33 @@ def test_a_run_without_a_result_line_stops_the_tool(tmp_path):
     tool = load_bench_pairs()
     with pytest.raises(SystemExit, match=r"small seed 1 gave no result line \(exit 2\)"):
         tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1"])
+
+
+def side(tool, values):
+    runs = [{"elapsed_s": 1.0, "result": {"correct": True, "metrics": {"x": {"value": v}}}}
+            for v in values]
+    return tool.side_summary(runs, ["x"])
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # won every pair, by more than the parent's IQR
+    (range(100, 110), range(120, 130), "higher", "gain"),
+    (range(100, 110), range(80, 90), "lower", "gain"),
+    # a worse median, but inside the 20% bound
+    (range(100, 110), range(101, 111), "lower", "within bound"),
+    # worse by more than the bound
+    (range(100, 110), range(130, 140), "lower", "worse"),
+    (range(100, 110), range(70, 80), "higher", "worse"),
+    # the parent's own runs spread wider than the bound
+    ([50, 100, 150, 200, 250], [60, 100, 150, 200, 240], "lower", "unresolved"),
+    # a wide spread, yet every change run beats every parent run, by less than the IQR
+    ([100, 150, 200], [90, 95, 99], "lower", "within bound"),
+])
+def test_gain_rule(parent, change, better, verdict):
+    tool = load_bench_pairs()
+    before, after = side(tool, list(parent)), side(tool, list(change))
+    pairs = tool.compare(before, after, {"x": better})
+    rule = tool.gain_rule(before, after, pairs, {"x": better}, {"x": 0.2})["x"]
+    assert rule["verdict"] == verdict
+    assert rule["median_diff"] == after["metrics"]["x"]["median"] - before["metrics"]["x"]["median"]
+    assert rule["parent_iqr"] == before["metrics"]["x"]["q3"] - before["metrics"]["x"]["q1"]

@@ -214,6 +214,41 @@ class TestVerify:
         assert len(blobs) == 9
         assert all(b["verdict"] == "pass" for b in blobs)
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_json_path_is_refused_before_the_sweep(self, capsys, tmp_path,
+                                                              monkeypatch, where):
+        path = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+        monkeypatch.setattr(cli, "verify_theorem", lambda *args: pytest.fail("the sweep ran"))
+        code, out, err = run(capsys, "verify", "--all-orders", "2", "--theorem", "star-assoc",
+                             "--chain", "1", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
+        assert not (tmp_path / "absent").exists()
+
+    def test_json_path_is_left_alone_until_the_report_is_written(self, write, capsys, tmp_path,
+                                                                 monkeypatch):
+        sg = write("null2.json", NULL2)
+        old = tmp_path / "old.json"
+        old.write_text("keep me")
+        new = tmp_path / "new.json"
+        real = cli.verify_theorem
+        seen = []
+
+        def sweep(*args):
+            seen.append((old.read_text(), new.exists()))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "verify_theorem", sweep)
+        for path in (old, new):
+            code, _, _ = run(capsys, "verify", sg, "--theorem", "star-assoc", "--chain", "1",
+                             "--json", str(path))
+            assert code == 0
+            assert json.loads(path.read_text())["verdict"] == "pass"
+        assert seen == [("keep me", False), (old.read_text(), False)]
+
     def test_counterexample_gives_exit_one(self, write, capsys, monkeypatch):
         failing = VerificationReport(
             theorem="star-assoc", instance={}, strategy="exhaustive", seed=None,
@@ -227,7 +262,7 @@ class TestVerify:
         assert "FAIL" in out
         assert '"base": "a"' in out
 
-    def test_verifier_inconsistency_gives_exit_two(self, write, capsys, monkeypatch):
+    def test_verifier_inconsistency_gives_exit_two(self, write, capsys, monkeypatch, rows_of):
         # a kernel defect: a product outside the chain-1 universe it must stay in
         real = verification.convolve
 
@@ -235,7 +270,7 @@ class TestVerify:
             out = real(f, g)
             return sf.FuzzySet(out.semigroup, (Fraction(1, 3),) + out.values[1:])
 
-        monkeypatch.setattr(verification, "convolve", planted)
+        monkeypatch.setattr(verification, "convolve_rows", rows_of(planted))
         sg = write("mono.json", MONO31)
         code, out, err = run(capsys, "verify", sg, "--theorem", "delta-congruence", "--chain", "1")
         assert code == 2

@@ -1,11 +1,13 @@
 """Membership values and the two sup-min products."""
 
+import dataclasses
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from semifuzz import reference as oracles
+from semifuzz import fuzzy, reference as oracles
 import semifuzz as sf
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -282,3 +284,67 @@ class TestLatticeLaws:
     @given(st.lists(unit_fractions, min_size=1, max_size=6), unit_fractions)
     def test_join_distributes_over_meet(self, values, b):
         assert max(min(values), b) == min(max(v, b) for v in values)
+
+
+# ----------------------------------------------------------------------
+# the batched rows behind the verifier's exhaustive product tables
+
+def assert_rows_match(rows, universe, kernel):
+    """``rows`` holds ``kernel`` of every ordered pair of ``universe``, in
+    row-major order, with the kernel's very value objects."""
+    rows = list(rows)
+    assert len(rows) == len(universe)
+    for f, row in zip(universe, rows):
+        assert len(row) == len(universe)
+        for g, got in zip(universe, row):
+            expected = kernel(f, g)
+            assert got == expected
+            assert all(map(operator.is_, got.values, expected.values))
+
+
+def fresh(u):
+    """``u`` with every value held by a new, equal Fraction object."""
+    return dataclasses.replace(u, values=tuple(Fraction(v.numerator, v.denominator)
+                                               for v in u.values))
+
+
+class TestProductRows:
+    @pytest.mark.parametrize("semigroups, k", [
+        ("small_semigroups", 1), ("small_semigroups", 2), ("order2_semigroups", 4)])
+    def test_every_pair_on_the_carrier_and_at_every_base(self, request, semigroups, k):
+        chain = sf.make_chain(k)
+        for sg in request.getfixturevalue(semigroups):
+            universe = list(sf.enumerate_fuzzy_sets(sg, chain))
+            assert_rows_match(fuzzy.convolve_rows(universe), universe, sf.convolve)
+            for a in sg.elements:
+                universe = list(sf.enumerate_restricted_sets(sg, a, chain))
+                assert_rows_match(fuzzy.star_convolve_rows(universe), universe, sf.star_convolve)
+
+    def test_equal_values_held_by_distinct_objects(self, mono31):
+        # every member holds its own objects, zeros included, so no two
+        # members share a value object and the kernel's 0 appears in none
+        chain = sf.make_chain(2)
+        for sg in (mono31, sf.catalog("full_transformation", 2)):
+            universe = [fresh(u) for u in sf.enumerate_fuzzy_sets(sg, chain)]
+            assert_rows_match(fuzzy.convolve_rows(universe), universe, sf.convolve)
+            universe = [fresh(u) for u in sf.enumerate_restricted_sets(sg, sg.order - 1, chain)]
+            assert_rows_match(fuzzy.star_convolve_rows(universe), universe, sf.star_convolve)
+
+    def test_rows_are_settled_as_they_are_taken(self, mono31, monkeypatch):
+        universe = list(sf.enumerate_fuzzy_sets(mono31, sf.make_chain(2)))
+        settled = []
+        real = fuzzy._settle
+        monkeypatch.setattr(fuzzy, "_settle", lambda *args: settled.append(1) or real(*args))
+        rows = fuzzy.convolve_rows(universe)
+        assert settled == []
+        next(rows)
+        assert len(settled) == len(universe)
+
+    def test_mixed_universes_rejected(self, mono31, null2):
+        assert list(fuzzy.convolve_rows([])) == []
+        with pytest.raises(ValueError, match="different semigroups"):
+            next(fuzzy.convolve_rows([sf.constant(mono31, 0), sf.constant(null2, 0)]))
+        mixed = [sf.restricted_fuzzy_set(mono31, "c3", {"c": 0, "c2": 0, "c3": 0}),
+                 sf.restricted_fuzzy_set(mono31, "c2", {"c": 0, "c2": 0})]
+        with pytest.raises(ValueError, match="different semigroups or bases"):
+            next(fuzzy.star_convolve_rows(mixed))

@@ -265,23 +265,24 @@ class TestPlantedFaults:
         assert report.counterexample == payload
 
     @pytest.mark.parametrize("pair", [(0, 0), (5, 2), (7, 7)])
-    def test_star_assoc(self, mono31, pair, monkeypatch, confirm_everything):
+    def test_star_assoc(self, mono31, pair, monkeypatch, confirm_everything, rows_of):
         # the pair is taken at the base whose divisor set is the whole carrier
         sets = list(sf.enumerate_restricted_sets(mono31, "c3", self.CHAIN))
         kernel = wrong_on(sf.star_convolve, sets[pair[0]], sets[pair[1]])
-        monkeypatch.setattr(verification, "star_convolve", kernel)
+        monkeypatch.setattr(verification, "star_convolve_rows", rows_of(kernel))
         self.assert_caught(mono31, "star-assoc", loop_star_assoc(mono31, self.CHAIN, kernel))
 
     @pytest.mark.parametrize("pair", [(0, 0), (3, 6), (7, 1)])
-    def test_delta_congruence(self, mono31, pair, monkeypatch, confirm_everything):
+    def test_delta_congruence(self, mono31, pair, monkeypatch, confirm_everything, rows_of):
         fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
         kernel = wrong_on(sf.convolve, fuzz[pair[0]], fuzz[pair[1]])
-        monkeypatch.setattr(verification, "convolve", kernel)
+        monkeypatch.setattr(verification, "convolve_rows", rows_of(kernel))
         self.assert_caught(mono31, "delta-congruence",
                            loop_delta_congruence(mono31, self.CHAIN, kernel))
 
     @pytest.mark.parametrize("faulty", ["convolve", "star_convolve"])
-    def test_quotient_iso_homomorphism(self, mono31, faulty, monkeypatch, confirm_everything):
+    def test_quotient_iso_homomorphism(self, mono31, faulty, monkeypatch, confirm_everything,
+                                       rows_of):
         fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
         conv, star = sf.convolve, sf.star_convolve
         if faulty == "convolve":
@@ -289,8 +290,8 @@ class TestPlantedFaults:
         else:
             f, g = (sf.restrict("c2", fuzz[i]) for i in (6, 3))
             star = wrong_on(star, f, g)
-        monkeypatch.setattr(verification, "convolve", conv)
-        monkeypatch.setattr(verification, "star_convolve", star)
+        monkeypatch.setattr(verification, "convolve_rows", rows_of(conv))
+        monkeypatch.setattr(verification, "star_convolve_rows", rows_of(star))
         expected = loop_quotient_iso(mono31, self.CHAIN, conv, star, sf.agrees_on_divisors)
         assert expected[1]["property"] == "homomorphism"
         self.assert_caught(mono31, "quotient-iso", expected)
@@ -402,14 +403,14 @@ class TestPlantedFaults:
         ("quotient-iso", "convolve"), ("quotient-iso", "star_convolve"),
     ])
     def test_product_outside_the_universe_is_an_inconsistency(self, mono31, theorem, kernel,
-                                                               monkeypatch):
+                                                               monkeypatch, rows_of):
         real = getattr(sf, kernel)
 
         def off_chain(f, g):
             out = real(f, g)
             return dataclasses.replace(out, values=(Fraction(1, 3),) + out.values[1:])
 
-        monkeypatch.setattr(verification, kernel, off_chain)
+        monkeypatch.setattr(verification, f"{kernel}_rows", rows_of(off_chain))
         with pytest.raises(RuntimeError, match="outside the enumerated universe"):
             sf.verify_theorem(mono31, theorem, sf.Exhaustive(self.CHAIN))
 
@@ -447,11 +448,13 @@ class TestIdentityLookup:
             positions.locate(outside)
 
     @pytest.mark.parametrize("theorem", ["star-assoc", "delta-congruence", "quotient-iso"])
-    def test_sweeps_agree_when_no_value_object_is_shared(self, mono31, theorem, monkeypatch):
+    def test_sweeps_agree_when_no_value_object_is_shared(self, mono31, theorem, monkeypatch,
+                                                        rows_of):
         strategy = sf.Exhaustive(sf.make_chain(2))
         expected = sf.verify_theorem(mono31, theorem, strategy)
-        for name in ("convolve", "star_convolve", "restrict"):
-            monkeypatch.setattr(verification, name, fresh_values(getattr(verification, name)))
+        monkeypatch.setattr(verification, "restrict", fresh_values(sf.restrict))
+        for name in ("convolve", "star_convolve"):
+            monkeypatch.setattr(verification, f"{name}_rows", rows_of(fresh_values(getattr(sf, name))))
         report = sf.verify_theorem(mono31, theorem, strategy)
         assert report.verdict == expected.verdict == "pass"
         assert report.cases_checked == expected.cases_checked
@@ -526,6 +529,15 @@ class TestReports:
         second = sf.verify_theorem(mono31, "quotient-iso", sf.Sampled(chain2, 60, seed=11))
         assert first == second
         assert first.seed == 11 and first.strategy == "sampled"
+
+    def test_sampled_quotient_iso_restricts_each_operand_once(self, mono31, chain2, monkeypatch):
+        # per draw: f and g once each, the surjectivity target's extension, and fg
+        calls = []
+        real = verification.restrict
+        monkeypatch.setattr(verification, "restrict", lambda a, f: calls.append(a) or real(a, f))
+        report = sf.verify_theorem(mono31, "quotient-iso", sf.Sampled(chain2, 60, seed=11))
+        assert report.passed and report.cases_checked == 3 * 60
+        assert len(calls) == 4 * 60
 
     def test_summary_line(self, null2, chain2):
         report = sf.verify_theorem(null2, "distributivity", sf.Sampled(chain2, 10, seed=2))

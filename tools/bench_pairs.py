@@ -12,11 +12,24 @@ wall time are kept.  The end-to-end metrics and which way is better come
 from the change's BENCHMARK.json, as do the workloads unless given.
 
 Per workload and metric it prints both medians, the change/parent ratio
-of the medians and the pairs the change won (a tie wins nothing), then
-the median elapsed seconds per side.  ``--out`` writes the same as JSON,
-with each side's per-seed values and every run's result line, rewritten
-as each workload completes.  A run that
-exits non-zero or prints no result line stops the tool with exit code 1.
+of the medians, the pairs the change won (a tie wins nothing), the
+parent's interquartile range, the difference of the medians (change
+minus parent) and a verdict, then the median and the longest elapsed
+seconds per side.  The verdict applies the gain rule, with each metric's
+relative ``bound`` from BENCHMARK.json:
+
+- "gain": the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's IQR;
+- "unresolved": either side's IQR, relative to its median, is wider
+  than the bound, and not every change run beats every parent run;
+- "worse": the change's median is worse than the parent's by more than
+  the bound, relative to the parent's median;
+- "within bound": otherwise.
+
+``--out`` writes the same as JSON, with each side's per-seed values and
+every run's result line, rewritten as each workload completes.  A run
+that exits non-zero or prints no result line stops the tool with exit
+code 1.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ def side_summary(runs: list[dict], metrics: list[str]) -> dict:
         "attempted": sum(r.get("attempted", 0) for r in results),
         "metrics": {m: quartiles(values) for m, values in per_seed.items()},
         "per_seed": per_seed,
-        "elapsed_s": {"median": statistics.median(elapsed), "per_seed": elapsed},
+        "elapsed_s": {"median": statistics.median(elapsed), "max": max(elapsed), "per_seed": elapsed},
         "results": results,
     }
 
@@ -80,8 +93,36 @@ def compare(before: dict, after: dict, better: dict[str, str]) -> dict:
     return pairs
 
 
+def gain_rule(before: dict, after: dict, pairs: dict, better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
+    """Per metric: the parent's IQR, the median difference, the bound and
+    the verdict described in the module docstring."""
+    out = {}
+    for m, direction in better.items():
+        b, a = before["metrics"][m], after["metrics"][m]
+        iqr = b["q3"] - b["q1"]
+        diff = a["median"] - b["median"]
+        gained = -diff if direction == "lower" else diff  # > 0 when the change is better
+        spread = max((side["q3"] - side["q1"]) / side["median"] for side in (b, a))
+        change_runs, parent_runs = after["per_seed"][m], before["per_seed"][m]
+        if direction == "lower":
+            separated = max(change_runs) < min(parent_runs)
+        else:
+            separated = min(change_runs) > max(parent_runs)
+        if 10 * pairs[m]["change_better_pairs"] >= 9 * pairs[m]["pairs"] and gained > iqr:
+            verdict = "gain"
+        elif spread > bounds[m] and not separated:
+            verdict = "unresolved"
+        elif -gained > bounds[m] * b["median"]:
+            verdict = "worse"
+        else:
+            verdict = "within bound"
+        out[m] = {"parent_iqr": iqr, "median_diff": diff, "bound": bounds[m], "verdict": verdict}
+    return out
+
+
 def measure(parent: Path, change: Path, workloads: list[str], seeds: list[int],
-            seconds: float, python: str, better: dict[str, str]):
+            seconds: float, python: str, better: dict[str, str], bounds: dict[str, float]):
     """Yield each workload's name and comparison as soon as its pairs are done."""
     for workload in workloads:
         runs = {side: [] for side in SIDES}
@@ -95,21 +136,27 @@ def measure(parent: Path, change: Path, workloads: list[str], seeds: list[int],
                 print(f"{workload} seed {seed} {'parent' if side == 'before' else 'change'}: "
                       f"{run['elapsed_s']:.1f} s", file=sys.stderr, flush=True)
         summary = {side: side_summary(runs[side], list(better)) for side in SIDES}
-        yield workload, {"seeds": seeds, "first": first, **summary,
-                         "pairs": compare(summary["before"], summary["after"], better)}
+        pairs = compare(summary["before"], summary["after"], better)
+        yield workload, {"seeds": seeds, "first": first, **summary, "pairs": pairs,
+                         "gain_rule": gain_rule(summary["before"], summary["after"], pairs,
+                                                better, bounds)}
 
 
 def report(workloads: dict) -> str:
     lines = []
     for workload, data in workloads.items():
         lines.append(f"{workload} ({data['before']['runs']} pairs)")
-        lines.append(f"  {'metric':<14}{'parent':>14}{'change':>14}{'ratio':>9}  won")
+        lines.append(f"  {'metric':<14}{'parent':>14}{'change':>14}{'ratio':>9}  won"
+                     f"{'parent IQR':>13}{'difference':>13}  verdict")
         for m, pair in data["pairs"].items():
             b, a = (data[side]["metrics"][m]["median"] for side in SIDES)
-            lines.append(f"  {m:<14}{b:>14.6g}{a:>14.6g}{pair['ratio']:>9.4f}  "
-                         f"{pair['change_better_pairs']}/{pair['pairs']}")
-        b, a = (data[side]["elapsed_s"]["median"] for side in SIDES)
-        lines.append(f"  {'elapsed_s':<14}{b:>14.6g}{a:>14.6g}")
+            rule = data["gain_rule"][m]
+            won = f"{pair['change_better_pairs']}/{pair['pairs']}"
+            lines.append(f"  {m:<14}{b:>14.6g}{a:>14.6g}{pair['ratio']:>9.4f}  {won:<5}"
+                         f"{rule['parent_iqr']:>11.4g}{rule['median_diff']:>13.4g}  {rule['verdict']}")
+        for stat in ("median", "max"):
+            b, a = (data[side]["elapsed_s"][stat] for side in SIDES)
+            lines.append(f"  {'elapsed_s ' + stat:<14}{b:>14.6g}{a:>14.6g}")
     return "\n".join(lines)
 
 
@@ -125,11 +172,12 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     command = f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0"
     data = {}
     for workload, compared in measure(args.parent.resolve(), args.change.resolve(), workloads,
-                                      args.seeds, args.seconds, args.python, better):
+                                      args.seeds, args.seconds, args.python, better, bounds):
         data[workload] = compared
         if args.out:
             args.out.write_text(json.dumps({"command": command, "workloads": data}, indent=1) + "\n")
