@@ -32,14 +32,20 @@ C-level gather per level and side, over the other side's admitted
 factors, and the direction test keeps the pending targets' factor-pair
 count as a running total instead of summing it again on every level.
 
-The kernel has two entries that share the ranking and the level loop.
-A single product groups both operands by value object into one map.
-The verifier's exhaustive product tables take every ordered pair of a
-universe at once (``convolve_rows``, ``star_convolve_rows``): each member
-is grouped once and the universe's values are ranked once, so a pair
-only merges its two members' groupings.  Neither entry collects or
-ranks the kernel's own 0, which is every chain's 0: a level of value 0
-would settle nothing.
+The kernel has two entries that share the ranking.  A single product
+groups both operands by value object into one map and settles it level
+by level as above.  The verifier's exhaustive product tables take every
+ordered pair of a universe at once (``convolve_rows``,
+``star_convolve_rows``), over domains of at most 12 elements: each
+member is grouped once, into one mask of domain positions per value
+object, and the universe's values are ranked once.  By the same
+decomposition, the c-cut of f*g is the setwise product of the c-cuts of
+f and g (the decomposition theorem: Klir and Yuan, *Fuzzy Sets and
+Fuzzy Logic*, 1995, ch. 2), so each call tabulates, as masks, the
+products of every domain position with every subset of positions, on
+either side; a pair then settles each level with one table read per new
+factor and visits no factor pair.  Neither entry collects or ranks the kernel's own 0, which
+is every chain's 0: a level of value 0 would settle nothing.
 """
 
 from __future__ import annotations
@@ -49,12 +55,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
+from operator import add, or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .semigroups import Element, ElementSet, Semigroup, _gather
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# an exhaustive sweep holds its universe and an M x M product table of it;
+# 4096 sets make a 16.7M-entry table, and a batched product over d domain
+# elements holds tables of d * 2**d masks
+EXHAUSTIVE_UNIVERSE_LIMIT = 4096
 
 # not \d, which also matches other scripts' digits, and Fraction reads those
 _RATIONAL_RE = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -299,43 +311,99 @@ def _sup_min(sg: Semigroup, base: int | None, fv, gv) -> tuple[Fraction, ...]:
     return _settle(sg, domain, targets, _ranked(holders))
 
 
+def _settle_masks(f, g, right, left, positions, value_of, full, width) -> tuple[Fraction, ...]:
+    """``_sup_min`` of the members ``f`` and ``g`` of a ``_sup_min_rows``
+    family, each given as rank -> mask of the domain positions holding
+    that rank's value object.
+
+    The ranks the two hold are walked from the top, and each admits its
+    positions as in ``_settle``'s push: ``right[p][ys]`` is the mask of
+    the products of position p with the admitted right factors ``ys``,
+    ``left[q][xs]`` that of the admitted left factors with position q.
+    Targets hit for the first time take the rank's value object; the
+    walk stops once every target in ``full`` is reached.
+    """
+    found = [ZERO] * width
+    done = xs = ys = 0
+    for r in sorted(f | g):
+        new_x = f.get(r, 0)
+        new_y = g.get(r, 0)
+        hit = 0
+        for p in positions[new_x]:
+            hit |= right[p][ys]
+        xs |= new_x
+        for q in positions[new_y]:
+            hit |= left[q][xs]
+        ys |= new_y
+        hit &= ~done
+        if hit:
+            value = value_of[r]
+            for t in positions[hit]:
+                found[t] = value
+            done |= hit
+            if done == full:
+                break
+    return tuple(found)
+
+
+def _subset_ors(items, empty, join) -> list:
+    """``out[m]`` joins ``items[i]`` over the set bits i of m; each entry
+    is one join of the entry without m's highest bit."""
+    out = [empty]
+    for item in items:
+        out += [join(o, item) for o in out]
+    return out
+
+
 def _sup_min_rows(sg: Semigroup, base: int | None, family) -> Iterator[list[tuple[Fraction, ...]]]:
     """``_sup_min`` of every ordered pair of ``family``, one row at a time.
 
     ``family`` is a sequence of value tuples on the domain of ``base``;
     row i is ``[_sup_min(sg, base, family[i], g) for g in family]``, with
-    the same values and value objects.  Each member's domain elements are
-    grouped by value object once, and the family's value objects are
-    ranked once.  A pair's levels are then the ranks its two members
-    hold, so its cost depends on their distinct values only, not on the
-    family's.  A row is settled when it is taken.
+    the same values and value objects.  Each member is grouped once into
+    one mask of domain positions per value object, and the family's value
+    objects are ranked once; a level whose value is 0 would settle
+    nothing, so it is dropped, as ``_settle`` stops there.  Over a domain
+    of width d, two tables of d * 2**d masks are built once, each entry
+    one ``_subset_ors`` step: ``right[p][Y]`` is the mask of the products
+    of position p with the positions in Y, and ``left[q][X]`` that of the
+    positions in X with position q.  ``_settle_masks`` then settles a
+    pair with one table read per new factor on each level.  A domain
+    wider than 12, where 2**d passes EXHAUSTIVE_UNIVERSE_LIMIT, is
+    refused before any table is built.  A row is settled when it is
+    taken.
     """
     domain, targets = sg._sup_min_plan(base)
+    width = len(domain)
+    if 1 << width > EXHAUSTIVE_UNIVERSE_LIMIT:
+        raise ValueError(f"a batched product over {width} domain elements needs tables of "
+                         f"{width} * 2**{width} masks, more than the limit of "
+                         f"{width} * {EXHAUSTIVE_UNIVERSE_LIMIT}")
     # each distinct value object but the kernel's 0, held for ranking
     # like a pair's holders but with no holders of its own
     distinct: dict[int, tuple] = {}
     groups = []
     for values in family:
-        held: dict[int, list[int]] = {}
-        for s, v in zip(domain, values):
+        held: dict[int, int] = {}
+        for p, v in enumerate(values):
             if v is not ZERO:
-                xs = held.get(id(v))
-                if xs is None:
-                    xs = held[id(v)] = []
-                    distinct[id(v)] = (v, (), ())
-                xs.append(s)
+                held[id(v)] = held.get(id(v), 0) | 1 << p
+                distinct[id(v)] = (v, (), ())
         groups.append(held)
     ranked = _ranked(distinct)
-    key_of = [level[0] for level in ranked]
     value_of = [level[2] for level in ranked]
-    rank = {level[1]: r for r, level in enumerate(ranked)}
-    # per member: rank -> the domain elements holding that value object
-    members = [{rank[i]: xs for i, xs in held.items()} for held in groups]
+    rank = {level[1]: r for r, level in enumerate(ranked) if level[0] > 0}
+    # per member: rank -> the mask of the positions holding that value object
+    members = [{rank[i]: m for i, m in held.items() if i in rank} for held in groups]
+    at = {s: 1 << p for p, s in enumerate(domain)}
+    on_domain = _gather(domain)
+    products = [[at.get(u, 0) for u in on_domain(sg.table[s])] for s in domain]
+    right = [_subset_ors(row, 0, or_) for row in products]
+    left = [_subset_ors(column, 0, or_) for column in zip(*products)]
+    positions = _subset_ors([(p,) for p in range(width)], (), add)
+    full = sum(map(at.__getitem__, targets))
     for f in members:
-        ranks = f.keys()
-        yield [_settle(sg, domain, targets,
-                       [(key_of[r], r, value_of[r], f.get(r, ()), g.get(r, ()))
-                        for r in sorted(ranks | g.keys())])
+        yield [_settle_masks(f, g, right, left, positions, value_of, full, width)
                for g in members]
 
 

@@ -28,9 +28,11 @@ member.  So the star-associativity, delta-congruence and quotient-iso
 sweeps first compute an integer product table: the real kernel settles
 each ordered pair once, in one batched pass over the universe
 (``convolve_rows`` or ``star_convolve_rows``: each member is grouped by
-value object and the universe's values are ranked once, the kernel's
-own 0 left out of both), and each result is mapped back to its position
-in the universe.  That lookup goes by the identities of the result's
+value object into masks of domain positions and the universe's values
+are ranked once, the kernel's own 0 left out of both, and each level of
+a pair is settled by lookups in the domain's tables of products of
+single positions with sets of positions), and each result is mapped
+back to its position in the universe.  That lookup goes by the identities of the result's
 value objects, which the kernel takes from its operands (or is its own
 0, every chain's 0); the universe stays alive for the whole sweep, so
 no id is reused.  A result with equal values held by other objects
@@ -43,7 +45,9 @@ then costs integer lookups, yet tests the same statement: two members
 are equal exactly when their positions are.  Cases are counted and
 reported in the order of the case-by-case loops, with the same
 payloads.  A universe of more than EXHAUSTIVE_UNIVERSE_LIMIT sets is
-refused with ValueError before anything is built.  Checks whose
+refused with ValueError before anything is built; a chain has at least
+two values, so this also keeps every domain within the 12 elements the
+batched pass accepts.  Checks whose
 statement quantifies over carrier elements only (the embedding, the
 divisor/Rees restriction, the kernel and core criteria) ignore the
 sample budget and always sweep all elements, which is both cheaper and
@@ -69,15 +73,12 @@ from .enumeration import (
     enumerate_fuzzy_sets,
     enumerate_restricted_sets,
 )
-from .fuzzy import ZERO, convolve, convolve_rows, embed_element, star_convolve, star_convolve_rows
+from .fuzzy import (EXHAUSTIVE_UNIVERSE_LIMIT, ZERO, convolve, convolve_rows, embed_element,
+                    star_convolve, star_convolve_rows)
 from .semigroups import Semigroup, semigroup_to_json
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
 CROSS_VALIDATION_LIMIT = 12
-
-# an exhaustive sweep holds its universe and an M x M product table of it;
-# 4096 sets make a 16.7M-entry table
-EXHAUSTIVE_UNIVERSE_LIMIT = 4096
 
 
 class VerifierInconsistency(RuntimeError):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import operator
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +310,12 @@ def fresh(u):
                                                for v in u.values))
 
 
+CLOSURE_40 = [(1, 2, 3, 0), (0, 0, 0, 3)]
+CLOSURE_128 = [(1, 2, 3, 0), (0, 0, 2, 3)]
+CLOSURE_12 = [(3, 1, 0, 3), (3, 3, 2, 0)]
+FULL_TRANSFORMATIONS_2 = [(1, 0), (0, 0)]
+
+
 class TestProductRows:
     @pytest.mark.parametrize("semigroups, k", [
         ("small_semigroups", 1), ("small_semigroups", 2), ("order2_semigroups", 4)])
@@ -333,12 +341,74 @@ class TestProductRows:
     def test_rows_are_settled_as_they_are_taken(self, mono31, monkeypatch):
         universe = list(sf.enumerate_fuzzy_sets(mono31, sf.make_chain(2)))
         settled = []
-        real = fuzzy._settle
-        monkeypatch.setattr(fuzzy, "_settle", lambda *args: settled.append(1) or real(*args))
+        real = fuzzy._settle_masks
+        monkeypatch.setattr(fuzzy, "_settle_masks", lambda *args: settled.append(1) or real(*args))
         rows = fuzzy.convolve_rows(universe)
         assert settled == []
         next(rows)
         assert len(settled) == len(universe)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("generators", [CLOSURE_40, CLOSURE_128], ids=["closure40", "closure128"])
+    def test_the_width_4_bases_of_the_wide_closures(self, generators, k):
+        sg = sf.transformation_closure(generators)
+        bases = [a for a, domain in enumerate(sg._divisor_domains) if len(domain) == 4]
+        assert len(bases) == 4
+        for a in bases:
+            universe = list(sf.enumerate_restricted_sets(sg, a, sf.make_chain(k)))
+            assert_rows_match(fuzzy.star_convolve_rows(universe), universe, sf.star_convolve)
+
+    def test_the_widest_tables_allowed(self):
+        # a 12-element carrier, one element of it no product, has tables of
+        # 12 * 2**12 masks; each base's divisor set is narrower
+        sg = sf.transformation_closure(CLOSURE_12)
+        assert sg.order == 12 and len(sg.square_set()) == 11
+        chain = sf.make_chain(16).values
+        rng = random.Random(12)
+        universe = [sf.FuzzySet(sg, tuple(rng.choice(chain) for _ in range(12))) for _ in range(20)]
+        assert_rows_match(fuzzy.convolve_rows(universe), universe, sf.convolve)
+        for a in range(sg.order):
+            restricted = [sf.restrict(a, f) for f in universe]
+            assert_rows_match(fuzzy.star_convolve_rows(restricted), restricted, sf.star_convolve)
+
+    @pytest.mark.parametrize("star", [False, True])
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_a_fault_planted_in_the_table_shows(self, side, star):
+        # f is 1 on x alone and g is 1 everywhere, so f*g is 1 exactly on
+        # row x of the table; with side "column", f and g trade places and
+        # f*g is 1 on column x.  The kernel element 0 of the full
+        # transformation monoid on two points has every element for a
+        # divisor.  A target planted out of that row or column must lose
+        # its value in the rows, as it does in the table.
+        sg = sf.transformation_closure(FULL_TRANSFORMATIONS_2)
+        x = 2
+        pair = [sf.characteristic(sg.subset([x])), sf.constant(sg, 1)]
+        if side == "column":
+            pair.reverse()
+        if star:
+            pair = [sf.restrict(0, f) for f in pair]
+            assert len(pair[0].values) == sg.order
+        rows = fuzzy.star_convolve_rows if star else fuzzy.convolve_rows
+        t = sg.table[x][0] if side == "row" else sg.table[0][x]
+        assert list(rows(pair))[0][1](t) == 1
+        stand_in = (t + 1) % sg.order
+        sg.__dict__["table"] = tuple(
+            tuple(stand_in if u == t and (s if side == "row" else y) == x else u
+                  for y, u in enumerate(line))
+            for s, line in enumerate(sg.table))
+        assert list(rows(pair))[0][1](t) == 0
+
+    @pytest.mark.parametrize("star", [False, True])
+    def test_a_domain_too_wide_for_the_tables_is_refused(self, star):
+        sg = sf.catalog("null", 13)
+        pair = [sf.constant(sg, 1), sf.constant(sg, "1/2")]
+        if star:
+            pair = [sf.restrict(0, f) for f in pair]
+        rows = fuzzy.star_convolve_rows if star else fuzzy.convolve_rows
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="13 domain elements"):
+            next(rows(pair))
+        assert time.perf_counter() - start < 1
 
     def test_mixed_universes_rejected(self, mono31, null2):
         assert list(fuzzy.convolve_rows([])) == []
