@@ -13,6 +13,7 @@ component per carrier element.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .fuzzy import FuzzySet, RestrictedFuzzySet, ZERO, star_convolve
@@ -32,6 +33,29 @@ def agrees_on_divisors(a: Element | str | int, f: FuzzySet, g: FuzzySet) -> bool
     # tuple comparison tests identity before Fraction equality, and value
     # objects are often shared
     return gather(f.values) == gather(g.values)
+
+
+def agreement_rows(a: Element | str | int, universe: Sequence[FuzzySet]) -> Iterator[list[bool]]:
+    """``[agrees_on_divisors(a, f, g) for g in universe]`` for each f of ``universe`` in turn.
+
+    Each distinct value object is coded once, by exact value, as an int,
+    and each member's divisor coordinates are gathered once into a tuple
+    of those codes, its key.  Row i compares key i with every key, one
+    comparison per entry, so transitivity is never assumed.
+    """
+    if not universe:
+        return
+    sg = universe[0].semigroup
+    if any(u.semigroup is not sg and u.semigroup != sg for u in universe):
+        raise ValueError("fuzzy sets live over different semigroups")
+    gather = sg._divisor_gathers[sg.element(a).index]
+    gathered = [gather(u.values) for u in universe]
+    objects = {id(v): v for values in gathered for v in values}
+    codes: dict = {}
+    code = {i: codes.setdefault(v, len(codes)) for i, v in objects.items()}
+    keys = [tuple(map(code.__getitem__, map(id, values))) for values in gathered]
+    for key in keys:
+        yield list(map(key.__eq__, keys))
 
 
 def restrict(a: Element | str | int, f: FuzzySet) -> RestrictedFuzzySet:

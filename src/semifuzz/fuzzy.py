@@ -418,19 +418,19 @@ def convolve(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     return FuzzySet(sg, _sup_min(sg, None, f.values, g.values))
 
 
-def convolve_rows(universe: Sequence[FuzzySet]) -> Iterator[list[FuzzySet]]:
-    """``[convolve(f, g) for g in universe]`` for each f of ``universe`` in turn.
+def convolve_rows(universe: Sequence[FuzzySet]) -> Iterator[list[tuple[Fraction, ...]]]:
+    """``[convolve(f, g).values for g in universe]`` for each f of ``universe`` in turn.
 
-    The products of every ordered pair, through one batched kernel pass
-    (see ``_sup_min_rows``); each row is settled when it is taken.
+    The values of the products of every ordered pair, bare value tuples
+    with no FuzzySet around them, through one batched kernel pass (see
+    ``_sup_min_rows``); each row is settled when it is taken.
     """
     if not universe:
         return
     sg = universe[0].semigroup
     if any(u.semigroup is not sg and u.semigroup != sg for u in universe):
         raise ValueError("cannot convolve fuzzy sets over different semigroups")
-    for row in _sup_min_rows(sg, None, [u.values for u in universe]):
-        yield [FuzzySet(sg, values) for values in row]
+    yield from _sup_min_rows(sg, None, [u.values for u in universe])
 
 
 @dataclass(frozen=True)
@@ -502,19 +502,19 @@ def star_convolve(f: RestrictedFuzzySet, g: RestrictedFuzzySet) -> RestrictedFuz
     return RestrictedFuzzySet(sg, f.base, _sup_min(sg, f.base, f.values, g.values))
 
 
-def star_convolve_rows(universe: Sequence[RestrictedFuzzySet]) -> Iterator[list[RestrictedFuzzySet]]:
-    """``[star_convolve(f, g) for g in universe]`` for each f of ``universe`` in turn.
+def star_convolve_rows(universe: Sequence[RestrictedFuzzySet]) -> Iterator[list[tuple[Fraction, ...]]]:
+    """``[star_convolve(f, g).values for g in universe]`` for each f of ``universe`` in turn.
 
-    The products of every ordered pair, through one batched kernel pass
-    (see ``_sup_min_rows``); each row is settled when it is taken.
+    The values of the products of every ordered pair, bare value tuples
+    with no RestrictedFuzzySet around them, through one batched kernel
+    pass (see ``_sup_min_rows``); each row is settled when it is taken.
     """
     if not universe:
         return
     sg, base = universe[0].semigroup, universe[0].base
     if any(u.base != base or (u.semigroup is not sg and u.semigroup != sg) for u in universe):
         raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
-    for row in _sup_min_rows(sg, base, [u.values for u in universe]):
-        yield [RestrictedFuzzySet(sg, base, values) for values in row]
+    yield from _sup_min_rows(sg, base, [u.values for u in universe])
 
 
 def fuzzy_set_from_json(semigroup: Semigroup, obj: object) -> FuzzySet:

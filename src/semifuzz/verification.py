@@ -31,16 +31,23 @@ each ordered pair once, in one batched pass over the universe
 value object into masks of domain positions and the universe's values
 are ranked once, the kernel's own 0 left out of both, and each level of
 a pair is settled by lookups in the domain's tables of products of
-single positions with sets of positions), and each result is mapped
-back to its position in the universe.  That lookup goes by the identities of the result's
+single positions with sets of positions), and each result, a bare
+tuple of values, is mapped back to its position in the universe.  That
+lookup goes by the identities of the result's
 value objects, which the kernel takes from its operands (or is its own
 0, every chain's 0); the universe stays alive for the whole sweep, so
 no id is reused.  A result with equal values held by other objects
 falls back to an exact lookup by value, and a result outside the
 universe is a verifier inconsistency and raises VerifierInconsistency.
-Agreement at a base is tabulated the same way, one
-``agrees_on_divisors`` call per pair, and is used as a matrix rather
-than as classes, so transitivity is never assumed.  Each case
+quotient-iso maps each member's restriction the same way, from the
+values its divisor gather reads.  Agreement at a base is tabulated in
+one batched pass too (``agreement_rows``: each distinct value object
+is coded once as an int, by exact value, and each member's divisor
+coordinates are gathered once into a tuple of those codes), and each
+entry is its own comparison of two such tuples.  The result is used as
+a matrix rather than as classes, so transitivity is never assumed.
+The restriction-rees rows still call ``agrees_on_divisors`` per pair,
+as do the sampled checks.  Each case
 then costs integer lookups, yet tests the same statement: two members
 are equal exactly when their positions are.  Cases are counted and
 reported in the order of the case-by-case loops, with the same
@@ -63,7 +70,8 @@ from functools import wraps
 from itertools import product, repeat
 
 from . import reference
-from .decomposition import agrees_on_divisors, extend_by_zero, restrict, subdirect_embed
+from .decomposition import (agreement_rows, agrees_on_divisors, extend_by_zero, restrict,
+                            subdirect_embed)
 from .enumeration import (
     Chain,
     _draws,
@@ -187,16 +195,18 @@ def _require_small_universe(chain: Chain, width: int) -> None:
 
 
 class _Positions:
-    """Positions of the members of an enumerated universe.
+    """Positions of the members of an enumerated universe, by value tuple.
 
-    A member is found by the identities of its value objects: the
-    universe stays alive as long as this index, so none of those ids
-    can be reused, and a tuple of ids matches only a member that holds
-    those very objects.  Kernel results reuse their operands' value
-    objects (or the kernel's 0, which is every chain's 0), so they hit
-    that lookup.  Equal values held by other objects miss it and fall
-    back to an exact lookup keyed by the values themselves; a fuzzy set
-    that misses both lies outside the universe, which is a verifier
+    ``locate`` takes a bare tuple of values, as the batched product rows
+    and the divisor gathers give them.  It finds a member by the
+    identities of those value objects: the universe stays alive as long
+    as this index, so none of those ids can be reused, and a tuple of ids
+    matches only a member that holds those very objects.  Kernel results
+    reuse their operands' value objects (or the kernel's 0, which is
+    every chain's 0), and gathers reuse the gathered member's, so they
+    hit that lookup.  Equal values held by other objects miss it and
+    fall back to an exact lookup keyed by the values themselves; values
+    that miss both lie outside the universe, which is a verifier
     inconsistency and raises VerifierInconsistency.
     """
 
@@ -205,21 +215,23 @@ class _Positions:
         self.by_ids = {tuple(map(id, u.values)): i for i, u in enumerate(universe)}
         self.by_values = None
 
-    def locate(self, fuzzy) -> int:
-        i = self.by_ids.get(tuple(map(id, fuzzy.values)))
+    def locate(self, values) -> int:
+        i = self.by_ids.get(tuple(map(id, values)))
         if i is None:
             if self.by_values is None:
                 self.by_values = {u.values: k for k, u in enumerate(self.universe)}
-            i = self.by_values.get(fuzzy.values)
+            i = self.by_values.get(values)
             if i is None:
                 raise VerifierInconsistency(
-                    f"verifier inconsistency: {fuzzy} lies outside the enumerated universe")
+                    f"verifier inconsistency: the values ({', '.join(map(str, values))}) "
+                    f"lie outside the enumerated universe")
         return i
 
 
 def _product_table(universe, rows) -> list[list[int]]:
     """``table[i][j]`` is the position in ``universe`` of the product of
-    ``universe[i]`` and ``universe[j]``, row i of ``rows(universe)``.
+    ``universe[i]`` and ``universe[j]``, whose values are entry j of row
+    i of ``rows(universe)``.
 
     The universe is closed under the product (a chain holding 0 is
     closed under min and max), so every result must be found; one that
@@ -227,10 +239,6 @@ def _product_table(universe, rows) -> list[list[int]]:
     """
     locate = _Positions(universe).locate
     return [list(map(locate, row)) for row in rows(universe)]
-
-
-def _agreement_matrix(a, universe) -> list[list[bool]]:
-    return [[agrees_on_divisors(a, f, g) for g in universe] for f in universe]
 
 
 def _row(lhs: list, rhs: list, failure) -> tuple:
@@ -314,7 +322,7 @@ def _check_delta_congruence(sg, chain, rng, count):
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
         table = _product_table(fuzz, convolve_rows)
         for a in sg.elements:
-            agree = _agreement_matrix(a, fuzz)
+            agree = list(agreement_rows(a, fuzz))
             related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
             lefts = [i for i, _ in related]
             rights = [j for _, j in related]
@@ -346,12 +354,11 @@ def _check_quotient_iso(sg, chain, rng, count):
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
         table = _product_table(fuzz, convolve_rows)
         for a in sg.elements:
-            agree = _agreement_matrix(a, fuzz)
             targets = list(enumerate_restricted_sets(sg, a, chain))
-            locate = _Positions(targets).locate
-            restricted = [locate(restrict(a, f)) for f in fuzz]
-            for i, ri in enumerate(restricted):
-                yield _row(agree[i], list(map(ri.__eq__, restricted)), lambda k: _payload(
+            locate, gather = _Positions(targets).locate, sg._divisor_gathers[a.index]
+            restricted = [locate(gather(f.values)) for f in fuzz]
+            for i, (ri, agree) in enumerate(zip(restricted, agreement_rows(a, fuzz))):
+                yield _row(agree, list(map(ri.__eq__, restricted)), lambda k: _payload(
                     {"property": "class-separation", "base": a.name}, f=fuzz[i], g=fuzz[k]))
             for target in targets:
                 yield 1, _surjectivity_failure(a, target)

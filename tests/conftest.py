@@ -57,13 +57,30 @@ def catalog_roster():
 def rows_of():
     """Turn a per-pair kernel into a rows function like ``convolve_rows``.
 
-    Row i holds ``kernel(universe[i], g)`` for every g of the universe, so
-    a fault planted in the kernel reaches the exhaustive product tables
-    exactly as the per-pair kernel would produce it.
+    Row i holds the values of ``kernel(universe[i], g)`` for every g of
+    the universe, so a fault planted in the kernel reaches the exhaustive
+    product tables exactly as the per-pair kernel would produce it.
     """
     def rows_of(kernel):
         def rows(universe):
             for f in universe:
-                yield [kernel(f, g) for g in universe]
+                yield [kernel(f, g).values for g in universe]
         return rows
     return rows_of
+
+
+@pytest.fixture(scope="session")
+def agreement_rows_of():
+    """Turn a per-pair relation like ``agrees_on_divisors`` into a rows
+    function like ``agreement_rows``.
+
+    Row i holds ``agree(a, universe[i], g)`` for every g of the universe,
+    so a fault planted in the relation reaches the exhaustive agreement
+    matrices exactly as the per-pair relation would produce it.
+    """
+    def agreement_rows_of(agree):
+        def rows(a, universe):
+            for f in universe:
+                yield [agree(a, f, g) for g in universe]
+        return rows
+    return agreement_rows_of

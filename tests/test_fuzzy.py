@@ -1,4 +1,5 @@
-"""Membership values and the two sup-min products."""
+"""Membership values, the two sup-min products, and the batched rows
+behind the verifier's exhaustive tables."""
 
 import dataclasses
 import operator
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from semifuzz import fuzzy, reference as oracles
+from semifuzz import decomposition, fuzzy, reference as oracles
 import semifuzz as sf
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -292,16 +293,17 @@ class TestLatticeLaws:
 # the batched rows behind the verifier's exhaustive product tables
 
 def assert_rows_match(rows, universe, kernel):
-    """``rows`` holds ``kernel`` of every ordered pair of ``universe``, in
-    row-major order, with the kernel's very value objects."""
+    """``rows`` holds the value tuple of ``kernel`` of every ordered pair
+    of ``universe``, in row-major order, with the kernel's very value
+    objects."""
     rows = list(rows)
     assert len(rows) == len(universe)
     for f, row in zip(universe, rows):
         assert len(row) == len(universe)
         for g, got in zip(universe, row):
-            expected = kernel(f, g)
-            assert got == expected
-            assert all(map(operator.is_, got.values, expected.values))
+            expected = kernel(f, g).values
+            assert type(got) is tuple and got == expected
+            assert all(map(operator.is_, got, expected))
 
 
 def fresh(u):
@@ -378,8 +380,9 @@ class TestProductRows:
         # row x of the table; with side "column", f and g trade places and
         # f*g is 1 on column x.  The kernel element 0 of the full
         # transformation monoid on two points has every element for a
-        # divisor.  A target planted out of that row or column must lose
-        # its value in the rows, as it does in the table.
+        # divisor, so position t of a row is element t either way.  A
+        # target planted out of that row or column must lose its value in
+        # the rows, as it does in the table.
         sg = sf.transformation_closure(FULL_TRANSFORMATIONS_2)
         x = 2
         pair = [sf.characteristic(sg.subset([x])), sf.constant(sg, 1)]
@@ -390,13 +393,13 @@ class TestProductRows:
             assert len(pair[0].values) == sg.order
         rows = fuzzy.star_convolve_rows if star else fuzzy.convolve_rows
         t = sg.table[x][0] if side == "row" else sg.table[0][x]
-        assert list(rows(pair))[0][1](t) == 1
+        assert list(rows(pair))[0][1][t] == 1
         stand_in = (t + 1) % sg.order
         sg.__dict__["table"] = tuple(
             tuple(stand_in if u == t and (s if side == "row" else y) == x else u
                   for y, u in enumerate(line))
             for s, line in enumerate(sg.table))
-        assert list(rows(pair))[0][1](t) == 0
+        assert list(rows(pair))[0][1][t] == 0
 
     @pytest.mark.parametrize("star", [False, True])
     def test_a_domain_too_wide_for_the_tables_is_refused(self, star):
@@ -418,3 +421,43 @@ class TestProductRows:
                  sf.restricted_fuzzy_set(mono31, "c2", {"c": 0, "c2": 0})]
         with pytest.raises(ValueError, match="different semigroups or bases"):
             next(fuzzy.star_convolve_rows(mixed))
+
+
+# ----------------------------------------------------------------------
+# the batched rows behind the verifier's exhaustive agreement matrices
+
+def assert_agreement_rows_match(sg, universe):
+    """At every base of ``sg``, ``agreement_rows`` holds
+    ``agrees_on_divisors`` of every ordered pair of ``universe``."""
+    for a in sg.elements:
+        rows = list(decomposition.agreement_rows(a, universe))
+        assert rows == [[sf.agrees_on_divisors(a, f, g) for g in universe] for f in universe]
+        assert all(type(ok) is bool for row in rows for ok in row)
+
+
+class TestAgreementRows:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_pair_at_every_base(self, small_semigroups, k):
+        chain = sf.make_chain(k)
+        for sg in small_semigroups:
+            assert_agreement_rows_match(sg, list(sf.enumerate_fuzzy_sets(sg, chain)))
+
+    def test_the_embeddings_of_the_40_element_closure(self):
+        sg = sf.transformation_closure(CLOSURE_40)
+        assert sg.order == 40
+        assert_agreement_rows_match(sg, [sf.embed_element(sg, e) for e in sg.elements])
+
+    def test_equal_values_held_by_distinct_objects(self, mono31):
+        # every other member holds its own objects, so equal values meet
+        # both as shared and as distinct objects, within a member and across
+        chain = sf.make_chain(2)
+        for sg in (mono31, sf.catalog("full_transformation", 2)):
+            universe = list(sf.enumerate_fuzzy_sets(sg, chain))
+            assert_agreement_rows_match(sg, [fresh(u) for u in universe])
+            assert_agreement_rows_match(sg, [fresh(u) if i % 2 else u
+                                             for i, u in enumerate(universe)])
+
+    def test_mixed_universes_rejected(self, mono31, null2):
+        assert list(decomposition.agreement_rows("c", [])) == []
+        with pytest.raises(ValueError, match="different semigroups"):
+            next(decomposition.agreement_rows(0, [sf.constant(mono31, 0), sf.constant(null2, 0)]))

@@ -296,7 +296,8 @@ class TestPlantedFaults:
         assert expected[1]["property"] == "homomorphism"
         self.assert_caught(mono31, "quotient-iso", expected)
 
-    def test_quotient_iso_class_separation(self, mono31, monkeypatch, confirm_everything):
+    def test_quotient_iso_class_separation(self, mono31, monkeypatch, confirm_everything,
+                                           agreement_rows_of):
         fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
         bad = (mono31.element("c2"), fuzz[5], fuzz[2])
 
@@ -304,7 +305,7 @@ class TestPlantedFaults:
             return (sf.agrees_on_divisors(a, f, g)
                     != ((mono31.element(a), f, g) == bad))
 
-        monkeypatch.setattr(verification, "agrees_on_divisors", agree)
+        monkeypatch.setattr(verification, "agreement_rows", agreement_rows_of(agree))
         expected = loop_quotient_iso(mono31, self.CHAIN, sf.convolve, sf.star_convolve, agree)
         assert expected[1]["property"] == "class-separation"
         self.assert_caught(mono31, "quotient-iso", expected)
@@ -434,16 +435,16 @@ class TestIdentityLookup:
         universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
         positions = verification._Positions(universe)
         for i, u in enumerate(universe):
-            assert positions.locate(sf.FuzzySet(mono31, tuple(u.values))) == i
+            assert positions.locate(tuple(u.values)) == i
         assert positions.by_values is None
 
     def test_equal_values_take_the_exact_fallback(self, mono31, chain2):
         universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
         positions = verification._Positions(universe)
         copy = fresh_values(lambda f: f)(universe[17])
-        assert positions.locate(copy) == 17
+        assert positions.locate(copy.values) == 17
         assert positions.by_values is not None
-        outside = sf.FuzzySet(mono31, (Fraction(1, 3),) * 3)
+        outside = (Fraction(1, 3),) * 3
         with pytest.raises(RuntimeError, match="outside the enumerated universe"):
             positions.locate(outside)
 
@@ -452,7 +453,12 @@ class TestIdentityLookup:
                                                         rows_of):
         strategy = sf.Exhaustive(sf.make_chain(2))
         expected = sf.verify_theorem(mono31, theorem, strategy)
-        monkeypatch.setattr(verification, "restrict", fresh_values(sf.restrict))
+        # every divisor gather, behind restrict, agreement_rows and the
+        # restricted positions of quotient-iso, returns new, equal objects
+        monkeypatch.setitem(mono31.__dict__, "_divisor_gathers", tuple(
+            lambda values, gather=gather: tuple(Fraction(v.numerator, v.denominator)
+                                                for v in gather(values))
+            for gather in mono31._divisor_gathers))
         for name in ("convolve", "star_convolve"):
             monkeypatch.setattr(verification, f"{name}_rows", rows_of(fresh_values(getattr(sf, name))))
         report = sf.verify_theorem(mono31, theorem, strategy)
