@@ -203,13 +203,14 @@ def _probe_writable(path: str) -> None:
     """Raise, before any work, the OSError that writing ``path`` would.
 
     The file is opened for appending, which leaves an existing file as
-    it is; one that this probe created is removed again.
+    it is; one that this probe created is removed again, at the target
+    of a dangling symlink too, and the link stays.
     """
-    existed = os.path.lexists(path)
+    existed = os.path.exists(path)
     with open(path, "a"):
         pass
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
 
 
 def _cmd_enumerate(args) -> int:

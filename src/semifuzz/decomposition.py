@@ -35,21 +35,17 @@ def agrees_on_divisors(a: Element | str | int, f: FuzzySet, g: FuzzySet) -> bool
     return gather(f.values) == gather(g.values)
 
 
-def agreement_rows(a: Element | str | int, universe: Sequence[FuzzySet]) -> Iterator[list[bool]]:
-    """``[agrees_on_divisors(a, f, g) for g in universe]`` for each f of ``universe`` in turn.
+def agreement_rows(sg: Semigroup, base: int, family: Sequence[tuple]) -> Iterator[list[bool]]:
+    """``agrees_on_divisors`` at the element of index ``base`` of every
+    ordered pair of ``family``, value tuples on the carrier of ``sg``, one
+    row per member in turn.
 
     Each distinct value object is coded once, by exact value, as an int,
     and each member's divisor coordinates are gathered once into a tuple
     of those codes, its key.  Row i compares key i with every key, one
     comparison per entry, so transitivity is never assumed.
     """
-    if not universe:
-        return
-    sg = universe[0].semigroup
-    if any(u.semigroup is not sg and u.semigroup != sg for u in universe):
-        raise ValueError("fuzzy sets live over different semigroups")
-    gather = sg._divisor_gathers[sg.element(a).index]
-    gathered = [gather(u.values) for u in universe]
+    gathered = list(map(sg._divisor_gathers[base], family))
     objects = {id(v): v for values in gathered for v in values}
     codes: dict = {}
     code = {i: codes.setdefault(v, len(codes)) for i, v in objects.items()}

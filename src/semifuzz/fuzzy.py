@@ -35,17 +35,17 @@ count as a running total instead of summing it again on every level.
 The kernel has two entries that share the ranking.  A single product
 groups both operands by value object into one map and settles it level
 by level as above.  The verifier's exhaustive product tables take every
-ordered pair of a universe at once (``convolve_rows``,
-``star_convolve_rows``), over domains of at most 12 elements: each
-member is grouped once, into one mask of domain positions per value
-object, and the universe's values are ranked once.  By the same
-decomposition, the c-cut of f*g is the setwise product of the c-cuts of
-f and g (the decomposition theorem: Klir and Yuan, *Fuzzy Sets and
-Fuzzy Logic*, 1995, ch. 2), so each call tabulates, as masks, the
-products of every domain position with every subset of positions, on
-either side; a pair then settles each level with one table read per new
-factor and visits no factor pair.  Neither entry collects or ranks the kernel's own 0, which
-is every chain's 0: a level of value 0 would settle nothing.
+ordered pair of a family of value tuples at once (``_sup_min_rows``),
+over domains of at most 12 elements: each member is grouped once, into
+one mask of domain positions per value object, and the family's values
+are ranked once.  By the same decomposition, the c-cut of f*g is the
+setwise product of the c-cuts of f and g (the decomposition theorem:
+Klir and Yuan, *Fuzzy Sets and Fuzzy Logic*, 1995, ch. 2), so each call
+tabulates, as masks, the products of every domain position with every
+subset of positions, on either side; a pair then settles each level
+with one table read per new factor and visits no factor pair.  Neither
+entry collects or ranks the kernel's own 0, which is every chain's 0: a
+level of value 0 would settle nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import add, or_
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .semigroups import Element, ElementSet, Semigroup, _gather
 
@@ -418,21 +418,6 @@ def convolve(f: FuzzySet, g: FuzzySet) -> FuzzySet:
     return FuzzySet(sg, _sup_min(sg, None, f.values, g.values))
 
 
-def convolve_rows(universe: Sequence[FuzzySet]) -> Iterator[list[tuple[Fraction, ...]]]:
-    """``[convolve(f, g).values for g in universe]`` for each f of ``universe`` in turn.
-
-    The values of the products of every ordered pair, bare value tuples
-    with no FuzzySet around them, through one batched kernel pass (see
-    ``_sup_min_rows``); each row is settled when it is taken.
-    """
-    if not universe:
-        return
-    sg = universe[0].semigroup
-    if any(u.semigroup is not sg and u.semigroup != sg for u in universe):
-        raise ValueError("cannot convolve fuzzy sets over different semigroups")
-    yield from _sup_min_rows(sg, None, [u.values for u in universe])
-
-
 @dataclass(frozen=True)
 class RestrictedFuzzySet:
     """A fuzzy set on the divisor set of one base element.
@@ -500,21 +485,6 @@ def star_convolve(f: RestrictedFuzzySet, g: RestrictedFuzzySet) -> RestrictedFuz
     if g.base != f.base or (g.semigroup is not sg and g.semigroup != sg):
         raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
     return RestrictedFuzzySet(sg, f.base, _sup_min(sg, f.base, f.values, g.values))
-
-
-def star_convolve_rows(universe: Sequence[RestrictedFuzzySet]) -> Iterator[list[tuple[Fraction, ...]]]:
-    """``[star_convolve(f, g).values for g in universe]`` for each f of ``universe`` in turn.
-
-    The values of the products of every ordered pair, bare value tuples
-    with no RestrictedFuzzySet around them, through one batched kernel
-    pass (see ``_sup_min_rows``); each row is settled when it is taken.
-    """
-    if not universe:
-        return
-    sg, base = universe[0].semigroup, universe[0].base
-    if any(u.base != base or (u.semigroup is not sg and u.semigroup != sg) for u in universe):
-        raise ValueError("cannot star-convolve fuzzy sets with different semigroups or bases")
-    yield from _sup_min_rows(sg, base, [u.values for u in universe])
 
 
 def fuzzy_set_from_json(semigroup: Semigroup, obj: object) -> FuzzySet:

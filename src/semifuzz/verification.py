@@ -22,43 +22,33 @@ that case's payload, where the sweep stops.
 
 Exhaustive checks quantify over fuzzy sets valued in the strategy's
 chain; the chain contains 0 and 1 and is closed under min and max, so
-all equalities are exact within the enumerated universe.  That closure
-also means every product of two members of a universe is again a
-member.  So the star-associativity, delta-congruence and quotient-iso
-sweeps first compute an integer product table: the real kernel settles
-each ordered pair once, in one batched pass over the universe
-(``convolve_rows`` or ``star_convolve_rows``: each member is grouped by
-value object into masks of domain positions and the universe's values
-are ranked once, the kernel's own 0 left out of both, and each level of
-a pair is settled by lookups in the domain's tables of products of
-single positions with sets of positions), and each result, a bare
-tuple of values, is mapped back to its position in the universe.  That
-lookup goes by the identities of the result's
-value objects, which the kernel takes from its operands (or is its own
-0, every chain's 0); the universe stays alive for the whole sweep, so
-no id is reused.  A result with equal values held by other objects
-falls back to an exact lookup by value, and a result outside the
-universe is a verifier inconsistency and raises VerifierInconsistency.
-quotient-iso maps each member's restriction the same way, from the
-values its divisor gather reads.  Agreement at a base is tabulated in
-one batched pass too (``agreement_rows``: each distinct value object
-is coded once as an int, by exact value, and each member's divisor
-coordinates are gathered once into a tuple of those codes), and each
-entry is its own comparison of two such tuples.  The result is used as
-a matrix rather than as classes, so transitivity is never assumed.
-The restriction-rees rows still call ``agrees_on_divisors`` per pair,
-as do the sampled checks.  Each case
-then costs integer lookups, yet tests the same statement: two members
-are equal exactly when their positions are.  Cases are counted and
-reported in the order of the case-by-case loops, with the same
-payloads.  A universe of more than EXHAUSTIVE_UNIVERSE_LIMIT sets is
-refused with ValueError before anything is built; a chain has at least
-two values, so this also keeps every domain within the 12 elements the
-batched pass accepts.  Checks whose
-statement quantifies over carrier elements only (the embedding, the
-divisor/Rees restriction, the kernel and core criteria) ignore the
-sample budget and always sweep all elements, which is both cheaper and
-stronger than sampling.
+all equalities are exact within the enumerated universe, and every
+product of two members of a universe is again a member.  So the
+star-associativity, delta-congruence and quotient-iso sweeps first
+compute an integer product table: the real kernel settles every ordered
+pair of the universe's value tuples in one batched pass
+(``fuzzy._sup_min_rows``), and :class:`_Positions` maps each result back
+to its position in the universe; a result outside it is a verifier
+inconsistency and raises VerifierInconsistency.  quotient-iso maps each
+member's restriction the same way.  Agreement at a base is a matrix
+(``agreement_rows``) whose every entry is its own comparison, so
+transitivity is never assumed; the restriction-rees rows and the
+sampled checks call ``agrees_on_divisors`` per pair.  Each case then
+costs integer lookups, yet tests the same statement: two members are
+equal exactly when their positions are.  Cases are counted and reported
+in the order of the case-by-case loops, with the same payloads.
+
+A universe of more than EXHAUSTIVE_UNIVERSE_LIMIT sets is refused with
+ValueError before anything is built.  Every exhaustive check sizes it
+by the order, since a kernel element has every element for a divisor
+and so no divisor domain is wider; a chain has at least two values, so
+this also keeps every domain within the 12 elements the batched pass
+accepts.
+
+Checks whose statement quantifies over carrier elements only (the
+embedding, the divisor/Rees restriction, the kernel and core criteria)
+ignore the sample budget and always sweep all elements, which is both
+cheaper and stronger than sampling.
 """
 
 from __future__ import annotations
@@ -81,8 +71,8 @@ from .enumeration import (
     enumerate_fuzzy_sets,
     enumerate_restricted_sets,
 )
-from .fuzzy import (EXHAUSTIVE_UNIVERSE_LIMIT, ZERO, convolve, convolve_rows, embed_element,
-                    star_convolve, star_convolve_rows)
+from .fuzzy import (EXHAUSTIVE_UNIVERSE_LIMIT, ZERO, _sup_min_rows, convolve, embed_element,
+                    star_convolve)
 from .semigroups import Semigroup, semigroup_to_json
 
 # subset ideal enumeration is 2**n; past this the cross-validations are skipped
@@ -197,8 +187,9 @@ def _require_small_universe(chain: Chain, width: int) -> None:
 class _Positions:
     """Positions of the members of an enumerated universe, by value tuple.
 
-    ``locate`` takes a bare tuple of values, as the batched product rows
-    and the divisor gathers give them.  It finds a member by the
+    The universe is a sequence of value tuples; ``locate`` takes another,
+    as the batched product rows and the divisor gathers give it.  It
+    finds a member by the
     identities of those value objects: the universe stays alive as long
     as this index, so none of those ids can be reused, and a tuple of ids
     matches only a member that holds those very objects.  Kernel results
@@ -212,14 +203,14 @@ class _Positions:
 
     def __init__(self, universe):
         self.universe = universe
-        self.by_ids = {tuple(map(id, u.values)): i for i, u in enumerate(universe)}
+        self.by_ids = {tuple(map(id, values)): i for i, values in enumerate(universe)}
         self.by_values = None
 
     def locate(self, values) -> int:
         i = self.by_ids.get(tuple(map(id, values)))
         if i is None:
             if self.by_values is None:
-                self.by_values = {u.values: k for k, u in enumerate(self.universe)}
+                self.by_values = {u: k for k, u in enumerate(self.universe)}
             i = self.by_values.get(values)
             if i is None:
                 raise VerifierInconsistency(
@@ -228,17 +219,17 @@ class _Positions:
         return i
 
 
-def _product_table(universe, rows) -> list[list[int]]:
-    """``table[i][j]`` is the position in ``universe`` of the product of
-    ``universe[i]`` and ``universe[j]``, whose values are entry j of row
-    i of ``rows(universe)``.
+def _product_table(sg, base, universe) -> list[list[int]]:
+    """``table[i][j]`` is the position in ``universe``, value tuples on the
+    domain of ``base`` (None for the carrier), of the product of
+    ``universe[i]`` and ``universe[j]``.
 
     The universe is closed under the product (a chain holding 0 is
     closed under min and max), so every result must be found; one that
     is not is a verifier inconsistency and raises VerifierInconsistency.
     """
     locate = _Positions(universe).locate
-    return [list(map(locate, row)) for row in rows(universe)]
+    return [list(map(locate, row)) for row in _sup_min_rows(sg, base, universe)]
 
 
 def _row(lhs: list, rhs: list, failure) -> tuple:
@@ -293,10 +284,10 @@ def _surjectivity_failure(a, target) -> dict | None:
 @_sweep
 def _check_star_assoc(sg, chain, rng, count):
     if rng is None:
-        _require_small_universe(chain, max(map(len, sg._divisor_domains)))
+        _require_small_universe(chain, sg.order)
         for a in sg.elements:
             sets = list(enumerate_restricted_sets(sg, a, chain))
-            table = _product_table(sets, star_convolve_rows)
+            table = _product_table(sg, a.index, [f.values for f in sets])
             for i, row_i in enumerate(table):
                 for j, ij in enumerate(row_i):
                     # (fg)h against f(gh) for every h at once
@@ -320,9 +311,10 @@ def _check_delta_congruence(sg, chain, rng, count):
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
-        table = _product_table(fuzz, convolve_rows)
+        values = [f.values for f in fuzz]
+        table = _product_table(sg, None, values)
         for a in sg.elements:
-            agree = list(agreement_rows(a, fuzz))
+            agree = list(agreement_rows(sg, a.index, values))
             related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
             lefts = [i for i, _ in related]
             rights = [j for _, j in related]
@@ -352,17 +344,19 @@ def _check_quotient_iso(sg, chain, rng, count):
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
-        table = _product_table(fuzz, convolve_rows)
+        values = [f.values for f in fuzz]
+        table = _product_table(sg, None, values)
         for a in sg.elements:
             targets = list(enumerate_restricted_sets(sg, a, chain))
-            locate, gather = _Positions(targets).locate, sg._divisor_gathers[a.index]
-            restricted = [locate(gather(f.values)) for f in fuzz]
-            for i, (ri, agree) in enumerate(zip(restricted, agreement_rows(a, fuzz))):
+            target_values = [t.values for t in targets]
+            locate = _Positions(target_values).locate
+            restricted = list(map(locate, map(sg._divisor_gathers[a.index], values)))
+            for i, (ri, agree) in enumerate(zip(restricted, agreement_rows(sg, a.index, values))):
                 yield _row(agree, list(map(ri.__eq__, restricted)), lambda k: _payload(
                     {"property": "class-separation", "base": a.name}, f=fuzz[i], g=fuzz[k]))
             for target in targets:
                 yield 1, _surjectivity_failure(a, target)
-            star = _product_table(targets, star_convolve_rows)
+            star = _product_table(sg, a.index, target_values)
             for i, ri in enumerate(restricted):
                 # restrict(fg) against restrict(f) * restrict(g) for every g at once
                 lhs = list(map(restricted.__getitem__, table[i]))

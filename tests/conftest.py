@@ -55,32 +55,41 @@ def catalog_roster():
 
 @pytest.fixture(scope="session")
 def rows_of():
-    """Turn a per-pair kernel into a rows function like ``convolve_rows``.
+    """Turn per-pair kernels into a stand-in for ``fuzzy._sup_min_rows``.
 
-    Row i holds the values of ``kernel(universe[i], g)`` for every g of
-    the universe, so a fault planted in the kernel reaches the exhaustive
-    product tables exactly as the per-pair kernel would produce it.
+    ``rows(sg, base, family)`` wraps each value tuple of the family as a
+    FuzzySet (``base`` None) or as a RestrictedFuzzySet at ``base``, and
+    row i holds the values of ``convolve`` or ``star`` of member i and
+    every member, so a fault planted in either kernel reaches the
+    exhaustive product tables exactly as the per-pair kernel would
+    produce it.
     """
-    def rows_of(kernel):
-        def rows(universe):
-            for f in universe:
-                yield [kernel(f, g).values for g in universe]
+    def rows_of(convolve=sf.convolve, star=sf.star_convolve):
+        def rows(sg, base, family):
+            if base is None:
+                kernel, members = convolve, [sf.FuzzySet(sg, v) for v in family]
+            else:
+                kernel, members = star, [sf.RestrictedFuzzySet(sg, base, v) for v in family]
+            for f in members:
+                yield [kernel(f, g).values for g in members]
         return rows
     return rows_of
 
 
 @pytest.fixture(scope="session")
 def agreement_rows_of():
-    """Turn a per-pair relation like ``agrees_on_divisors`` into a rows
-    function like ``agreement_rows``.
+    """Turn a per-pair relation like ``agrees_on_divisors`` into a stand-in
+    for ``agreement_rows``.
 
-    Row i holds ``agree(a, universe[i], g)`` for every g of the universe,
-    so a fault planted in the relation reaches the exhaustive agreement
-    matrices exactly as the per-pair relation would produce it.
+    ``rows(sg, base, family)`` wraps each value tuple of the family as a
+    FuzzySet, and row i holds ``agree(base, member i, g)`` for every
+    member g, so a fault planted in the relation reaches the exhaustive
+    agreement matrices exactly as the per-pair relation would produce it.
     """
     def agreement_rows_of(agree):
-        def rows(a, universe):
-            for f in universe:
-                yield [agree(a, f, g) for g in universe]
+        def rows(sg, base, family):
+            members = [sf.FuzzySet(sg, v) for v in family]
+            for f in members:
+                yield [agree(base, f, g) for g in members]
         return rows
     return agreement_rows_of

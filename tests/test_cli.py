@@ -249,6 +249,17 @@ class TestVerify:
             assert json.loads(path.read_text())["verdict"] == "pass"
         assert seen == [("keep me", False), (old.read_text(), False)]
 
+    def test_a_dangling_json_symlink_is_left_as_it_was(self, capsys, tmp_path):
+        # the probe creates the link's target; the refused run must
+        # remove it again and keep the link
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, err = run(capsys, "verify", "--all-orders", "1", "--theorem", "star-assoc",
+                             "--chain", "5000", "--json", str(link))
+        assert code == 2 and out == ""
+        assert "fuzzy sets" in err
+        assert link.is_symlink() and not target.exists()
+
     def test_counterexample_gives_exit_one(self, write, capsys, monkeypatch):
         failing = VerificationReport(
             theorem="star-assoc", instance={}, strategy="exhaustive", seed=None,
@@ -270,7 +281,7 @@ class TestVerify:
             out = real(f, g)
             return sf.FuzzySet(out.semigroup, (Fraction(1, 3),) + out.values[1:])
 
-        monkeypatch.setattr(verification, "convolve_rows", rows_of(planted))
+        monkeypatch.setattr(verification, "_sup_min_rows", rows_of(planted))
         sg = write("mono.json", MONO31)
         code, out, err = run(capsys, "verify", sg, "--theorem", "delta-congruence", "--chain", "1")
         assert code == 2

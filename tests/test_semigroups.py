@@ -231,12 +231,15 @@ class TestDivisorPartition:
         assert names_of(rest) == {"c3"}
 
     def test_matches_oracle(self, small_semigroups, catalog_roster):
-        for sg in small_semigroups + catalog_roster:
+        for sg in small_semigroups + catalog_roster + [sf.transformation_closure(CLOSURE_40)]:
             for a in range(sg.order):
                 divisors, rest = sg.divisor_partition(a)
                 expected = oracles.divisor_set(sg.table, a)
                 assert divisors.indices == expected
                 assert rest.indices == frozenset(range(sg.order)) - expected
+            # a kernel element has every element for a divisor, so the
+            # exhaustive sweeps size every universe by the order
+            assert max(map(len, sg._divisor_domains)) == sg.order
 
     def test_invariants(self, small_semigroups):
         for sg in small_semigroups:

@@ -105,3 +105,22 @@ def test_code_line_rule(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text(CODELINES_SNIPPET)
     assert codelines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["1", "a.py", "5", "snippet.py", "6", "total"]
+
+
+def test_every_traced_name_resolves_on_the_library(monkeypatch):
+    # the traced benchmark run getattrs each of these names with no
+    # default, so a library rename must show here first
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(f"semifuzz.{name}")
+               for name in (*tracing.FUNCTIONS, "cli")}
+    missing = [f"{short}.{name}" for short, names in tracing.FUNCTIONS.items()
+               for name in names if not callable(getattr(modules[short], name, None))]
+    missing += [f"enumeration.{name}" for name in tracing.GENERATORS
+                if not callable(getattr(modules["enumeration"], name, None))]
+    missing += [f"Semigroup.{name}" for name in tracing.METHODS
+                if name not in vars(modules["semigroups"].Semigroup)]
+    assert callable(modules["verification"].verify_theorem) and callable(modules["cli"].main)
+    assert missing == []

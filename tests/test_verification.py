@@ -269,14 +269,14 @@ class TestPlantedFaults:
         # the pair is taken at the base whose divisor set is the whole carrier
         sets = list(sf.enumerate_restricted_sets(mono31, "c3", self.CHAIN))
         kernel = wrong_on(sf.star_convolve, sets[pair[0]], sets[pair[1]])
-        monkeypatch.setattr(verification, "star_convolve_rows", rows_of(kernel))
+        monkeypatch.setattr(verification, "_sup_min_rows", rows_of(star=kernel))
         self.assert_caught(mono31, "star-assoc", loop_star_assoc(mono31, self.CHAIN, kernel))
 
     @pytest.mark.parametrize("pair", [(0, 0), (3, 6), (7, 1)])
     def test_delta_congruence(self, mono31, pair, monkeypatch, confirm_everything, rows_of):
         fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
         kernel = wrong_on(sf.convolve, fuzz[pair[0]], fuzz[pair[1]])
-        monkeypatch.setattr(verification, "convolve_rows", rows_of(kernel))
+        monkeypatch.setattr(verification, "_sup_min_rows", rows_of(convolve=kernel))
         self.assert_caught(mono31, "delta-congruence",
                            loop_delta_congruence(mono31, self.CHAIN, kernel))
 
@@ -290,8 +290,7 @@ class TestPlantedFaults:
         else:
             f, g = (sf.restrict("c2", fuzz[i]) for i in (6, 3))
             star = wrong_on(star, f, g)
-        monkeypatch.setattr(verification, "convolve_rows", rows_of(conv))
-        monkeypatch.setattr(verification, "star_convolve_rows", rows_of(star))
+        monkeypatch.setattr(verification, "_sup_min_rows", rows_of(conv, star))
         expected = loop_quotient_iso(mono31, self.CHAIN, conv, star, sf.agrees_on_divisors)
         assert expected[1]["property"] == "homomorphism"
         self.assert_caught(mono31, "quotient-iso", expected)
@@ -411,7 +410,8 @@ class TestPlantedFaults:
             out = real(f, g)
             return dataclasses.replace(out, values=(Fraction(1, 3),) + out.values[1:])
 
-        monkeypatch.setattr(verification, f"{kernel}_rows", rows_of(off_chain))
+        planted = rows_of(off_chain) if kernel == "convolve" else rows_of(star=off_chain)
+        monkeypatch.setattr(verification, "_sup_min_rows", planted)
         with pytest.raises(RuntimeError, match="outside the enumerated universe"):
             sf.verify_theorem(mono31, theorem, sf.Exhaustive(self.CHAIN))
 
@@ -433,14 +433,14 @@ class TestIdentityLookup:
 
     def test_identical_values_take_the_identity_lookup(self, mono31, chain2):
         universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
-        positions = verification._Positions(universe)
+        positions = verification._Positions([u.values for u in universe])
         for i, u in enumerate(universe):
             assert positions.locate(tuple(u.values)) == i
         assert positions.by_values is None
 
     def test_equal_values_take_the_exact_fallback(self, mono31, chain2):
         universe = list(sf.enumerate_fuzzy_sets(mono31, chain2))
-        positions = verification._Positions(universe)
+        positions = verification._Positions([u.values for u in universe])
         copy = fresh_values(lambda f: f)(universe[17])
         assert positions.locate(copy.values) == 17
         assert positions.by_values is not None
@@ -459,8 +459,8 @@ class TestIdentityLookup:
             lambda values, gather=gather: tuple(Fraction(v.numerator, v.denominator)
                                                 for v in gather(values))
             for gather in mono31._divisor_gathers))
-        for name in ("convolve", "star_convolve"):
-            monkeypatch.setattr(verification, f"{name}_rows", rows_of(fresh_values(getattr(sf, name))))
+        monkeypatch.setattr(verification, "_sup_min_rows",
+                            rows_of(fresh_values(sf.convolve), fresh_values(sf.star_convolve)))
         report = sf.verify_theorem(mono31, theorem, strategy)
         assert report.verdict == expected.verdict == "pass"
         assert report.cases_checked == expected.cases_checked
