@@ -5,6 +5,8 @@ divisor of that element.  Each class of that relation is represented
 canonically by the restriction to the divisor set (equivalently, by its
 extend-by-zero normal form), which is what makes the quotient computable:
 the classes over [0, 1] are uncountable, their representatives are not.
+Over a finite family of fuzzy sets, ``agreement_classes`` numbers the
+classes the family meets, one integer code per member.
 
 Collecting the restriction at every base element embeds the full
 convolution semigroup into the product of the restricted ones, one
@@ -35,23 +37,32 @@ def agrees_on_divisors(a: Element | str | int, f: FuzzySet, g: FuzzySet) -> bool
     return gather(f.values) == gather(g.values)
 
 
-def agreement_rows(sg: Semigroup, base: int, family: Sequence[tuple]) -> Iterator[list[bool]]:
-    """``agrees_on_divisors`` at the element of index ``base`` of every
-    ordered pair of ``family``, value tuples on the carrier of ``sg``, one
-    row per member in turn.
+def agreement_classes(sg: Semigroup, base: int, family: Sequence[tuple]) -> list[int]:
+    """One int per member of ``family``, value tuples on the carrier of
+    ``sg``: two are equal exactly when the members agree on the divisors
+    of the element of index ``base``.
 
     Each distinct value object is coded once, by exact value, as an int,
     and each member's divisor coordinates are gathered once into a tuple
-    of those codes, its key.  Row i compares key i with every key, one
-    comparison per entry, so transitivity is never assumed.
+    of those codes, its key; each distinct key is then numbered in order
+    of first appearance, and that number is the member's class.
     """
     gathered = list(map(sg._divisor_gathers[base], family))
     objects = {id(v): v for values in gathered for v in values}
     codes: dict = {}
     code = {i: codes.setdefault(v, len(codes)) for i, v in objects.items()}
-    keys = [tuple(map(code.__getitem__, map(id, values))) for values in gathered]
-    for key in keys:
-        yield list(map(key.__eq__, keys))
+    numbers: dict = {}
+    return [numbers.setdefault(tuple(map(code.__getitem__, map(id, values))), len(numbers))
+            for values in gathered]
+
+
+def agreement_rows(sg: Semigroup, base: int, family: Sequence[tuple]) -> Iterator[list[bool]]:
+    """``agrees_on_divisors`` at the element of index ``base`` of every
+    ordered pair of ``family``, one row per member in turn: row i compares
+    the class of member i (``agreement_classes``) with every member's."""
+    classes = agreement_classes(sg, base, family)
+    for c in classes:
+        yield list(map(c.__eq__, classes))
 
 
 def restrict(a: Element | str | int, f: FuzzySet) -> RestrictedFuzzySet:

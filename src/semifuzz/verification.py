@@ -30,10 +30,14 @@ pair of the universe's value tuples in one batched pass
 (``fuzzy._sup_min_rows``), and :class:`_Positions` maps each result back
 to its position in the universe; a result outside it is a verifier
 inconsistency and raises VerifierInconsistency.  quotient-iso maps each
-member's restriction the same way.  Agreement at a base is a matrix
-(``agreement_rows``) whose every entry is its own comparison, so
-transitivity is never assumed; the restriction-rees rows and the
-sampled checks call ``agrees_on_divisors`` per pair.  Each case then
+member's restriction the same way.  Agreement at a base is one integer
+class code per member (``agreement_classes``), equal exactly when two
+members agree on the divisor set.  delta-congruence settles a related
+pair (f1, g1) against every related (f2, g2) with one comparison of two
+lists of class codes, of f1 f2 and of g1 g2; quotient-iso compares the
+matrix of code equalities (``agreement_rows``) with its restriction
+positions; the restriction-rees rows and the sampled checks call
+``agrees_on_divisors`` per pair.  Each case then
 costs integer lookups, yet tests the same statement: two members are
 equal exactly when their positions are.  Cases are counted and reported
 in the order of the case-by-case loops, with the same payloads.
@@ -60,8 +64,8 @@ from functools import wraps
 from itertools import product, repeat
 
 from . import reference
-from .decomposition import (agreement_rows, agrees_on_divisors, extend_by_zero, restrict,
-                            subdirect_embed)
+from .decomposition import (agreement_classes, agreement_rows, agrees_on_divisors,
+                            extend_by_zero, restrict, subdirect_embed)
 from .enumeration import (
     Chain,
     _draws,
@@ -308,25 +312,38 @@ def _check_star_assoc(sg, chain, rng, count):
 
 @_sweep
 def _check_delta_congruence(sg, chain, rng, count):
+    """f1 ~ g1 and f2 ~ g2 at a imply f1 f2 ~ g1 g2.
+
+    Exhaustively, one row of cases per related pair (f1, g1) at a base,
+    against every related (f2, g2): the class codes of f1 f2 against
+    those of g1 g2, as two lists.  The list for each g1 is kept for the
+    base, M lists of |related| references for M members, at most the
+    base's |related|**2 cases, and freed before the next base.
+    """
     if rng is None:
         _require_small_universe(chain, sg.order)
         fuzz = list(enumerate_fuzzy_sets(sg, chain))
         values = [f.values for f in fuzz]
         table = _product_table(sg, None, values)
         for a in sg.elements:
-            agree = list(agreement_rows(sg, a.index, values))
-            related = [(i, j) for i, row in enumerate(agree) for j, ok in enumerate(row) if ok]
+            classes = agreement_classes(sg, a.index, values)
+            members: dict = {}
+            for j, c in enumerate(classes):
+                members.setdefault(c, []).append(j)
+            # (i, j) with i and j in one class: i-major, j ascending
+            related = [(i, j) for i, c in enumerate(classes) for j in members[c]]
             lefts = [i for i, _ in related]
             rights = [j for _, j in related]
-            every = [True] * len(related)
-            for f1, g1 in related:
-                # agree[f1 f2][g1 g2] for every related (f2, g2)
-                holds = list(map(list.__getitem__,
-                                 map(agree.__getitem__, map(table[f1].__getitem__, lefts)),
-                                 map(table[g1].__getitem__, rights)))
-                yield _row(holds, every, lambda c: _payload(
-                    {"base": a.name}, f1=fuzz[f1], g1=fuzz[g1],
-                    f2=fuzz[lefts[c]], g2=fuzz[rights[c]]))
+            # product_classes[f][h] is the class of f h
+            product_classes = [list(map(classes.__getitem__, row)) for row in table]
+            rhs = [list(map(row.__getitem__, rights)) for row in product_classes]
+            for f1, row in enumerate(product_classes):
+                lhs = list(map(row.__getitem__, lefts))
+                for g1 in members[classes[f1]]:
+                    # f1 f2 ~ g1 g2 for every related (f2, g2)
+                    yield _row(lhs, rhs[g1], lambda c: _payload(
+                        {"base": a.name}, f1=fuzz[f1], g1=fuzz[g1],
+                        f2=fuzz[lefts[c]], g2=fuzz[rights[c]]))
     else:
         for _ in range(count):
             base = rng.randrange(sg.order)

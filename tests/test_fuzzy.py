@@ -420,7 +420,8 @@ class TestProductRows:
 
 
 # ----------------------------------------------------------------------
-# the batched rows behind the verifier's exhaustive agreement matrices
+# the batched rows and class codes behind the verifier's exhaustive
+# agreement tests
 
 def assert_agreement_rows_match(sg, universe):
     """At every base of ``sg``, ``agreement_rows`` holds
@@ -431,17 +432,29 @@ def assert_agreement_rows_match(sg, universe):
         assert all(type(ok) is bool for row in rows for ok in row)
 
 
+def assert_agreement_classes_match(sg, universe):
+    """At every base of ``sg``, two members of ``universe`` have equal
+    ``agreement_classes`` codes exactly when ``agrees_on_divisors`` holds."""
+    for a in sg.elements:
+        classes = decomposition.agreement_classes(sg, a.index, [u.values for u in universe])
+        assert all(type(c) is int for c in classes)
+        assert [[c == d for d in classes] for c in classes] == [
+            [sf.agrees_on_divisors(a, f, g) for g in universe] for f in universe]
+
+
 class TestAgreementRows:
+    match = staticmethod(assert_agreement_rows_match)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_every_pair_at_every_base(self, small_semigroups, k):
         chain = sf.make_chain(k)
         for sg in small_semigroups:
-            assert_agreement_rows_match(sg, list(sf.enumerate_fuzzy_sets(sg, chain)))
+            self.match(sg, list(sf.enumerate_fuzzy_sets(sg, chain)))
 
     def test_the_embeddings_of_the_40_element_closure(self):
         sg = sf.transformation_closure(CLOSURE_40)
         assert sg.order == 40
-        assert_agreement_rows_match(sg, [sf.embed_element(sg, e) for e in sg.elements])
+        self.match(sg, [sf.embed_element(sg, e) for e in sg.elements])
 
     def test_equal_values_held_by_distinct_objects(self, mono31):
         # every other member holds its own objects, so equal values meet
@@ -449,6 +462,11 @@ class TestAgreementRows:
         chain = sf.make_chain(2)
         for sg in (mono31, sf.catalog("full_transformation", 2)):
             universe = list(sf.enumerate_fuzzy_sets(sg, chain))
-            assert_agreement_rows_match(sg, [fresh(u) for u in universe])
-            assert_agreement_rows_match(sg, [fresh(u) if i % 2 else u
-                                             for i, u in enumerate(universe)])
+            self.match(sg, [fresh(u) for u in universe])
+            self.match(sg, [fresh(u) if i % 2 else u for i, u in enumerate(universe)])
+
+
+class TestAgreementClasses(TestAgreementRows):
+    """The same cases, on the codes ``agreement_rows`` compares."""
+
+    match = staticmethod(assert_agreement_classes_match)

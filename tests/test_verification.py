@@ -128,6 +128,22 @@ class TestCaseCounts:
             assert report.passed, report.counterexample
             assert report.cases_checked == closed_form_cases(theorem, sg, 2), sg.table
 
+    def test_delta_congruence_every_semigroup_of_order_at_most_3_at_chain_2(
+            self, small_semigroups, chain2):
+        total = 0
+        for sg in small_semigroups:
+            report = sf.verify_theorem(sg, "delta-congruence", sf.Exhaustive(chain2))
+            assert report.passed, report.counterexample
+            assert report.cases_checked == closed_form_cases("delta-congruence", sg, 2), sg.table
+            total += report.cases_checked
+        assert total == 6_899_508
+
+    def test_delta_congruence_null_4_at_chain_2(self, chain2):
+        sg = sf.catalog("null", 4)
+        report = sf.verify_theorem(sg, "delta-congruence", sf.Exhaustive(chain2))
+        assert report.passed, report.counterexample
+        assert report.cases_checked == closed_form_cases("delta-congruence", sg, 2) == 14_355_468
+
 
 # ----------------------------------------------------------------------
 # planted faults: a kernel (or the agreement test) that is wrong on one
@@ -272,7 +288,9 @@ class TestPlantedFaults:
         monkeypatch.setattr(verification, "_sup_min_rows", rows_of(star=kernel))
         self.assert_caught(mono31, "star-assoc", loop_star_assoc(mono31, self.CHAIN, kernel))
 
-    @pytest.mark.parametrize("pair", [(0, 0), (3, 6), (7, 1)])
+    # (5, 4): the first failing case is f1 h against g1 h for distinct
+    # f1 ~ g1, which comparing g1 f2 with g1 g2 alone would never see
+    @pytest.mark.parametrize("pair", [(0, 0), (3, 6), (7, 1), (5, 4)])
     def test_delta_congruence(self, mono31, pair, monkeypatch, confirm_everything, rows_of):
         fuzz = list(sf.enumerate_fuzzy_sets(mono31, self.CHAIN))
         kernel = wrong_on(sf.convolve, fuzz[pair[0]], fuzz[pair[1]])
